@@ -1,14 +1,17 @@
 """Paradox probabilities: exact convolution, Monte Carlo, adversarial extremes.
 
-Exact probabilities start in rational arithmetic (a distribution over integer
-histograms, convolved one agent at a time) and degrade once to 80-bit floating
-accumulation when state denominators outgrow a configurable bit cap; the
-accumulated forward error of the nonnegative multiply-add chain is bounded by
-(number of steps) * machine epsilon, orders of magnitude below every tolerance
-used here. Because quota rules are anonymous and agents sample independently,
-the probability depends on a distribution assignment only through its counts,
-so the adversarial sup/inf ranges over count multisets rather than ordered
-assignments.
+Because quota rules are anonymous and agents sample independently, the
+probability depends on a distribution assignment only through its counts, and
+on a profile only through its per-proposition support counts. Exact
+probabilities therefore convolve one agent at a time over the (n+1)^(p+1) grid
+of support-count vectors. The rational engine runs that kernel on Python-int
+numerators: member k's weights become integers over D_k, the least common
+denominator of its weights, and the common denominator prod_k D_k^(c_k) is
+applied once at the end. The float engine runs the same kernel in 80-bit
+accumulation; the forward error of its nonnegative multiply-add chain is
+bounded by (number of steps) * machine epsilon, orders of magnitude below every
+tolerance used here. The adversarial sup/inf ranges over count multisets
+rather than ordered assignments.
 """
 
 from __future__ import annotations
@@ -157,29 +160,18 @@ def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
     return truth != conclusion
 
 
-def _paradox_counts(
-    rule: QuotaRule, agenda: Agenda, n: int, counts: Sequence[int]
-) -> bool:
-    verdict = tuple(
-        count_verdict(Fraction(c), Fraction(n), rule.thresholds[i], rule.breakings[i])
-        for i, c in enumerate(counts)
-    )
-    code = 0
-    for v in verdict[: agenda.p]:
-        code = code * 2 + v
-    return agenda.truth_table[code] != verdict[agenda.p]
-
-
-def _counts_of_histogram(
-    hist: Sequence[int], patterns: Sequence[tuple[int, ...]], p: int
-) -> tuple[int, ...]:
-    counts = [0] * (p + 1)
-    for x, pat in zip(hist, patterns):
-        if x:
-            for i, bit in enumerate(pat):
-                if bit:
-                    counts[i] += x
-    return tuple(counts)
+def _integer_weights(
+    dists: DistributionSet, counts: Sequence[int]
+) -> tuple[list[list[int]], int]:
+    """Each member's weights as integers over D_k, the LCD of its weights,
+    and the common denominator prod_k D_k^(c_k) of the assignment's law."""
+    numerators = []
+    denominator = 1
+    for member, count in zip(dists.members, counts):
+        lcd = math.lcm(*(w.denominator for w in member.weights))
+        numerators.append([w.numerator * (lcd // w.denominator) for w in member.weights])
+        denominator *= lcd**count
+    return numerators, denominator
 
 
 def _float_weights(weights: Sequence[Fraction]) -> list[np.longdouble]:
@@ -216,9 +208,12 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    ``value_mode='rational'`` keeps exact fractions throughout; ``'float'``
-    runs the whole convolution in extended precision; ``'auto'`` starts
-    rational and degrades once state denominators exceed the bit cap.
+    Both engines convolve over the (n+1)^(p+1) count grid, which
+    ``state_budget`` caps. ``value_mode='rational'`` runs it on integer
+    numerators and returns an exact fraction; ``'float'`` runs it in extended
+    precision; ``'auto'`` chooses once, before the first step: rational when
+    the common denominator prod_k D_k^(c_k) has at most
+    ``denominator_bit_limit`` bits, float otherwise.
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
@@ -230,86 +225,31 @@ def exact_paradox_probability(
         )
     n = assignment.n
     p = agenda.p
-    patterns = proposition_patterns(agenda)
-    agents: list[int] = []
-    for member_index, count in enumerate(assignment.counts):
-        agents.extend([member_index] * count)
-
-    sparse = [
-        [(j, w) for j, w in enumerate(member.weights) if w != 0]
-        for member in dists.members
-    ]
-    float_sparse = []
-    for entries in sparse:
-        float_sparse.append(
-            (
-                _float_weights([w for _, w in entries]),
-                [patterns[j] for j, _ in entries],
-            )
+    cells = (n + 1) ** (p + 1)
+    if cells > state_budget:
+        raise ResourceBudgetError(
+            "probability grid too large", required=cells, budget=state_budget
         )
-
-    def make_grid() -> np.ndarray:
-        cells = (n + 1) ** (p + 1)
-        if cells > state_budget:
-            raise ResourceBudgetError(
-                "probability grid too large", required=cells, budget=state_budget
-            )
-        return np.zeros((n + 1,) * (p + 1), dtype=np.longdouble)
-
-    grid: Optional[np.ndarray] = None
-    states: Optional[dict[tuple[int, ...], Fraction]] = None
-    if value_mode == "float":
-        grid = make_grid()
-        grid[(0,) * (p + 1)] = 1.0
-    else:
-        states = {(0,) * agenda.m: Fraction(1)}
-
-    for step, member_index in enumerate(agents):
-        if grid is not None:
-            weights, pats = float_sparse[member_index]
-            grid = _grid_step(grid, weights, pats, box=step + 2)
-            continue
-        new: dict[tuple[int, ...], Fraction] = {}
-        for hist, prob in states.items():
-            for j, w in sparse[member_index]:
-                key = hist[:j] + (hist[j] + 1,) + hist[j + 1 :]
-                acc = new.get(key)
-                new[key] = prob * w if acc is None else acc + prob * w
-        states = new
-        if len(states) > state_budget:
-            raise ResourceBudgetError(
-                "histogram state count exceeded",
-                required=len(states),
-                budget=state_budget,
-            )
-        if value_mode == "auto" and any(
-            prob.denominator.bit_length() > denominator_bit_limit
-            for prob in states.values()
-        ):
-            grid = make_grid()
-            for hist, prob in states.items():
-                key = _counts_of_histogram(hist, patterns, p)
-                grid[key] += np.longdouble(prob.numerator) / np.longdouble(
-                    prob.denominator
-                )
-            states = None
-
-    if grid is not None:
-        indicator = _paradox_indicator(rule, agenda, n)
-        return float((grid * indicator).sum())
-
-    by_counts: dict[tuple[int, ...], Fraction] = {}
-    for hist, prob in states.items():
-        key = _counts_of_histogram(hist, patterns, p)
-        by_counts[key] = by_counts.get(key, Fraction(0)) + prob
-    return sum(
-        (
-            prob
-            for counts, prob in by_counts.items()
-            if _paradox_counts(rule, agenda, n, counts)
-        ),
-        Fraction(0),
+    numerators, denominator = _integer_weights(dists, assignment.counts)
+    exact = value_mode == "rational" or (
+        value_mode == "auto" and denominator.bit_length() <= denominator_bit_limit
     )
+    if exact:
+        weights, dtype = numerators, object
+    else:
+        weights = [_float_weights(member.weights) for member in dists.members]
+        dtype = np.longdouble
+
+    patterns = proposition_patterns(agenda)
+    grid = np.zeros((n + 1,) * (p + 1), dtype=dtype)
+    grid[(0,) * (p + 1)] = 1
+    step = 0
+    for member_weights, count in zip(weights, assignment.counts):
+        for _ in range(count):
+            grid = _grid_step(grid, member_weights, patterns, box=step + 2)
+            step += 1
+    mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
+    return Fraction(int(mass), denominator) if exact else float(mass)
 
 
 def histogram_distribution(
@@ -322,18 +262,19 @@ def histogram_distribution(
         raise DimensionError(
             f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
         )
-    states = {(0,) * dists.m: Fraction(1)}
-    for member, count in zip(dists.members, assignment.counts):
-        sparse = [(j, w) for j, w in enumerate(member.weights) if w != 0]
+    numerators, denominator = _integer_weights(dists, assignment.counts)
+    states = {(0,) * dists.m: 1}
+    for member_weights, count in zip(numerators, assignment.counts):
+        sparse = [(j, w) for j, w in enumerate(member_weights) if w != 0]
         for _ in range(count):
-            new: dict[tuple[int, ...], Fraction] = {}
-            for hist, prob in states.items():
+            new: dict[tuple[int, ...], int] = {}
+            for hist, num in states.items():
                 for j, w in sparse:
                     key = hist[:j] + (hist[j] + 1,) + hist[j + 1 :]
-                    acc = new.get(key)
-                    new[key] = prob * w if acc is None else acc + prob * w
+                    new[key] = new.get(key, 0) + num * w
             states = new
-    return HistogramDistribution(states, assignment.n)
+    law = {hist: Fraction(num, denominator) for hist, num in states.items()}
+    return HistogramDistribution(law, assignment.n)
 
 
 # ---------------------------------------------------------------------------

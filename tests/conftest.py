@@ -81,6 +81,17 @@ def random_instance(rng: random.Random, p: int | None = None, members: int | Non
     return agenda, rule, dists
 
 
+def random_positive_members(rng: random.Random, m: int, count: int) -> DistributionSet:
+    """``count`` distinct strictly positive members, integer weights 1..9 normalized."""
+    rows: list[FractionalVote] = []
+    while len(rows) < count:
+        ints = [rng.randint(1, 9) for _ in range(m)]
+        row = FractionalVote(tuple(Fraction(x, sum(ints)) for x in ints))
+        if row not in rows:
+            rows.append(row)
+    return DistributionSet(tuple(rows))
+
+
 def enumerate_histograms(n: int, m: int):
     """All non-negative integer histograms with total n (compositions)."""
     if m == 1:

@@ -9,6 +9,7 @@ from paradox_lab import (
     Assignment,
     DistributionSet,
     FractionalVote,
+    Histogram,
     QuotaRule,
     Rate,
     ResourceBudgetError,
@@ -16,10 +17,15 @@ from paradox_lab import (
     compositions,
     exact_paradox_probability,
     histogram_distribution,
+    is_paradox,
     monte_carlo_estimate,
     smoothed_extremes,
 )
-from conftest import brute_force_paradox_probability, random_instance
+from conftest import (
+    brute_force_paradox_probability,
+    random_instance,
+    random_positive_members,
+)
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -29,6 +35,13 @@ MIRROR_RULE = QuotaRule.majority(2, (1, 0))
 
 def _dists(*rows) -> DistributionSet:
     return DistributionSet(tuple(FractionalVote.of(row) for row in rows))
+
+
+def _random_counts(rng: random.Random, n: int, members: int) -> tuple[int, ...]:
+    counts = [0] * members
+    for _ in range(n):
+        counts[rng.randrange(members)] += 1
+    return tuple(counts)
 
 
 THETA1 = _dists(["1/4"] * 4, ["1/25", "8/25", "8/25", "8/25"])
@@ -83,6 +96,56 @@ def test_auto_mode_degrades_and_stays_close():
     assert abs(degraded - float(exact)) < 1e-15
     floated = exact_paradox_probability((3, 2), THETA1, MAJ, AND2, value_mode="float")
     assert abs(floated - float(exact)) < 1e-15
+
+
+def test_auto_mode_chooses_once_from_denominator_bits(three_majority_instance):
+    inst = three_majority_instance
+    counts = (3, 2)
+    denominator = 1
+    for member, count in zip(inst.distributions.members, counts):
+        denominator *= math.lcm(*(w.denominator for w in member.weights)) ** count
+    bits = denominator.bit_length()
+    args = (counts, inst.distributions, inst.rule, inst.agenda)
+    exact = exact_paradox_probability(*args, value_mode="rational")
+    at_limit = exact_paradox_probability(*args, value_mode="auto", denominator_bit_limit=bits)
+    assert isinstance(at_limit, Fraction)
+    assert at_limit == exact
+    below = exact_paradox_probability(*args, value_mode="auto", denominator_bit_limit=bits - 1)
+    assert isinstance(below, float)
+    assert abs(below - float(exact)) < 1e-15
+
+
+def test_p3_many_members_match_enumeration(three_majority_instance, three_quota_instance):
+    rng = random.Random(11)
+    for inst in (three_majority_instance, three_quota_instance):
+        for size, n in ((3, 4), (5, 3), (8, 4)):
+            dists = random_positive_members(rng, inst.agenda.m, size)
+            counts = _random_counts(rng, n, size)
+            exact = exact_paradox_probability(counts, dists, inst.rule, inst.agenda,
+                                              value_mode="rational")
+            assert exact == brute_force_paradox_probability(counts, dists, inst.rule,
+                                                            inst.agenda)
+
+
+def test_p3_many_members_match_histogram_law(three_majority_instance, three_quota_instance):
+    # cross-checks the count-grid kernel against the histogram-space law
+    rng = random.Random(12)
+    for inst, size, n in ((three_majority_instance, 8, 10), (three_quota_instance, 5, 8)):
+        dists = random_positive_members(rng, inst.agenda.m, size)
+        counts = _random_counts(rng, n, size)
+        law = histogram_distribution(counts, dists)
+        assert law.total() == 1
+        mass = sum(
+            (
+                prob
+                for hist, prob in law.probabilities.items()
+                if is_paradox(Histogram(tuple(Fraction(x) for x in hist)),
+                              inst.rule, inst.agenda)
+            ),
+            Fraction(0),
+        )
+        assert exact_paradox_probability(counts, dists, inst.rule, inst.agenda,
+                                         value_mode="rational") == mass
 
 
 def test_histogram_distribution_is_a_law():
@@ -246,3 +309,12 @@ def test_resource_budgets_raise():
     with pytest.raises(ResourceBudgetError):
         exact_paradox_probability((40, 0), THETA1, MAJ, AND2,
                                   value_mode="float", state_budget=100)
+    # the rational engine is charged (n+1)^(p+1) = 64 count-grid cells at
+    # n=3, p=2, not the 20 histograms of three agents over four judgements
+    with pytest.raises(ResourceBudgetError):
+        exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
+                                  value_mode="rational", state_budget=63)
+    assert exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
+                                     value_mode="rational", state_budget=64) == (
+        brute_force_paradox_probability((3, 0), THETA1, MAJ, AND2)
+    )
