@@ -7,11 +7,12 @@ probabilities therefore convolve one agent at a time over the (n+1)^(p+1) grid
 of support-count vectors. The rational engine runs that kernel on Python-int
 numerators: member k's weights become integers over D_k, the least common
 denominator of its weights, and the common denominator prod_k D_k^(c_k) is
-applied once at the end. The float engine runs the same kernel in 80-bit
-accumulation; the forward error of its nonnegative multiply-add chain is
-bounded by (number of steps) * machine epsilon, orders of magnitude below every
-tolerance used here. The adversarial sup/inf ranges over count multisets
-rather than ordered assignments.
+applied once at the end. The float engines run the same kernel in float64 when
+every nonzero product of n weights provably stays far inside float64's normal
+range, and in longdouble otherwise (see :func:`_float_dtype`). Every float
+result is checked against the forward-error bound of its nonnegative
+multiply-add chain (see :func:`_check_error_bound`). The adversarial sup/inf
+ranges over count multisets rather than ordered assignments.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ DEFAULT_DENOMINATOR_BITS = 4096
 DEFAULT_STATE_BUDGET = 60_000_000
 DEFAULT_ASSIGNMENT_BUDGET = 50_000
 _TWO_BLOCK_MIN_N = 10
-_LONGDOUBLE_STORE_LIMIT = 8_000_000
+# 1022 - 53: a product of weights at least 2^-969 lies 53 bits above the
+# smallest normal float64, so every rounding near it stays within eps/2 relative
+_FLOAT64_RANGE_BITS = 969
 _MC_CHUNK = 1 << 17
 
 
@@ -174,8 +177,47 @@ def _integer_weights(
     return numerators, denominator
 
 
-def _float_weights(weights: Sequence[Fraction]) -> list[np.longdouble]:
-    return [np.longdouble(w.numerator) / np.longdouble(w.denominator) for w in weights]
+def _float_dtype(dists: DistributionSet, n: int) -> type:
+    """The float type of an n-agent chain: float64 iff n*log2(1/eps_min) <= 969.
+
+    eps_min is the smallest positive weight over all members (zero weights
+    add no term to any sum). When the test holds, every nonzero product of n
+    weights, and so every nonzero cell of every grid, is at least 2^-969 and
+    stays a normal float64; otherwise the chain runs in longdouble. With
+    eps_min = a/b the test is b^n <= a^n * 2^969, decided in integers.
+    """
+    eps = min(w for member in dists.members for w in member.weights if w > 0)
+    fits = eps.denominator**n <= eps.numerator**n << _FLOAT64_RANGE_BITS
+    return np.float64 if fits else np.longdouble
+
+
+def _float_weights(weights: Sequence[Fraction], dtype: type) -> list:
+    return [dtype(w.numerator) / dtype(w.denominator) for w in weights]
+
+
+def _error_bound(dtype: type, n: int, p: int) -> float:
+    """gamma_N = N*u / (1 - N*u), u = eps(dtype)/2, N = n*(2^p + 4) + (n+1)^(p+1).
+
+    Every term of a chain probability is a product over n one-agent steps.
+    Each step rounds the weight (numerator, denominator, quotient), the
+    multiply and at most 2^p adds into the cell; the final multiply by the
+    absorption grid and the sum over at most (n+1)^(p+1) cells add at most
+    that many roundings more. All terms are nonnegative, so the computed
+    probability is within a relative gamma_N of the exact one.
+    """
+    steps = n * ((1 << p) + 4) + (n + 1) ** (p + 1)
+    unit = steps * float(np.finfo(dtype).eps) / 2
+    return unit / (1 - unit)
+
+
+def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> None:
+    """Raise FloatingPointError unless every probability lies in [0, 1 + gamma_N]."""
+    bound = 1 + _error_bound(dtype, n, p)
+    if not np.all((probs >= 0) & (probs <= bound)):
+        raise FloatingPointError(
+            f"float probabilities outside [0, 1 + {bound - 1:.3g}]: "
+            f"min {probs.min()!r}, max {probs.max()!r}"
+        )
 
 
 def _grid_step(
@@ -210,9 +252,10 @@ def exact_paradox_probability(
 
     Both engines convolve over the (n+1)^(p+1) count grid, which
     ``state_budget`` caps. ``value_mode='rational'`` runs it on integer
-    numerators and returns an exact fraction; ``'float'`` runs it in extended
-    precision; ``'auto'`` chooses once, before the first step: rational when
-    the common denominator prod_k D_k^(c_k) has at most
+    numerators and returns an exact fraction; ``'float'`` runs it in the
+    dtype :func:`_float_dtype` picks and checks the result against
+    :func:`_error_bound`; ``'auto'`` chooses once, before the first step:
+    rational when the common denominator prod_k D_k^(c_k) has at most
     ``denominator_bit_limit`` bits, float otherwise.
     """
     if value_mode not in ("auto", "rational", "float"):
@@ -237,8 +280,8 @@ def exact_paradox_probability(
     if exact:
         weights, dtype = numerators, object
     else:
-        weights = [_float_weights(member.weights) for member in dists.members]
-        dtype = np.longdouble
+        dtype = _float_dtype(dists, n)
+        weights = [_float_weights(member.weights, dtype) for member in dists.members]
 
     patterns = proposition_patterns(agenda)
     grid = np.zeros((n + 1,) * (p + 1), dtype=dtype)
@@ -249,7 +292,10 @@ def exact_paradox_probability(
             grid = _grid_step(grid, member_weights, patterns, box=step + 2)
             step += 1
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
-    return Fraction(int(mass), denominator) if exact else float(mass)
+    if exact:
+        return Fraction(int(mass), denominator)
+    _check_error_bound(mass, dtype, n, p)
+    return float(mass)
 
 
 def histogram_distribution(
@@ -367,12 +413,16 @@ def _two_block_probabilities(
     prefix_grid: Optional[np.ndarray],
     prefix_support: int,
     state_budget: int,
+    dtype: type,
 ) -> np.ndarray:
     """P(paradox) for (k member_a agents, split_total - k member_b agents, prefix).
 
     One stored forward chain for member_a meets one in-place backward
     absorption chain for member_b, so all split_total + 1 assignments cost
-    O(m * n^(p+2)) together instead of per assignment.
+    O(m * n^(p+2)) together instead of per assignment. Weights, both chains,
+    the stored grids and the result are all in ``dtype``, which
+    :func:`_float_dtype` picked for the n_total-agent run; the result is
+    checked against :func:`_error_bound`.
     """
     p = agenda.p
     dims = (n_total + 1,) * (p + 1)
@@ -388,32 +438,31 @@ def _two_block_probabilities(
             budget=state_budget,
         )
     patterns = proposition_patterns(agenda)
-    weights_a = _float_weights(member_a.weights)
-    weights_b = _float_weights(member_b.weights)
-    store = np.longdouble if chain_entries <= _LONGDOUBLE_STORE_LIMIT else np.float64
+    weights_a = _float_weights(member_a.weights, dtype)
+    weights_b = _float_weights(member_b.weights, dtype)
 
     if prefix_grid is None:
-        cur = np.zeros(dims, dtype=np.longdouble)
+        cur = np.zeros(dims, dtype=dtype)
         cur[(0,) * (p + 1)] = 1.0
     else:
-        cur = prefix_grid.astype(np.longdouble, copy=True)
+        cur = prefix_grid
     forward: list[np.ndarray] = []
     for k in range(split_total + 1):
         box = min(prefix_support + k + 1, n_total + 1)
-        forward.append(cur[(slice(0, box),) * (p + 1)].astype(store, copy=True))
+        forward.append(cur[(slice(0, box),) * (p + 1)].copy())
         if k < split_total:
             cur = _grid_step(cur, weights_a, patterns, box=prefix_support + k + 2)
 
-    absorb = _paradox_indicator(rule, agenda, n_total).astype(np.longdouble)
-    probs = np.zeros(split_total + 1, dtype=np.longdouble)
+    absorb = _paradox_indicator(rule, agenda, n_total).astype(dtype)
+    probs = np.zeros(split_total + 1, dtype=dtype)
     for j in range(split_total + 1):
         k = split_total - j
         box = min(prefix_support + k + 1, n_total + 1)
         window = (slice(0, box),) * (p + 1)
-        probs[k] = (forward[k].astype(np.longdouble) * absorb[window]).sum()
+        probs[k] = (forward[k] * absorb[window]).sum()
         if j < split_total:
             # absorb one more member_b agent: W(s) <- sum_w w * W(s + pattern)
-            new = np.zeros(dims, dtype=np.longdouble)
+            new = np.zeros(dims, dtype=dtype)
             for w, pat in zip(weights_b, patterns):
                 if w == 0:
                     continue
@@ -421,7 +470,8 @@ def _two_block_probabilities(
                 dst = tuple(slice(0, n_total + 1 - c) for c in pat)
                 new[dst] += w * absorb[src]
             absorb = new
-    return np.clip(probs, 0.0, 1.0)
+    _check_error_bound(probs, dtype, n_total, p)
+    return probs
 
 
 def _exact_assignment_probabilities(
@@ -450,6 +500,7 @@ def _exact_assignment_probabilities(
         ]
 
     patterns = proposition_patterns(agenda)
+    dtype = _float_dtype(dists, n)
     results: list[tuple[tuple[int, ...], Union[Fraction, float]]] = []
     leading = [()] if ell == 2 else list(compositions_upto(n, ell - 2))
     for lead in leading:
@@ -457,11 +508,11 @@ def _exact_assignment_probabilities(
         split_total = n - lead_total
         prefix_grid = None
         if lead_total:
-            prefix_grid = np.zeros((n + 1,) * (agenda.p + 1), dtype=np.longdouble)
+            prefix_grid = np.zeros((n + 1,) * (agenda.p + 1), dtype=dtype)
             prefix_grid[(0,) * (agenda.p + 1)] = 1.0
             done = 0
             for offset, count in enumerate(lead):
-                weights = _float_weights(dists.members[2 + offset].weights)
+                weights = _float_weights(dists.members[2 + offset].weights, dtype)
                 for _ in range(count):
                     prefix_grid = _grid_step(prefix_grid, weights, patterns, box=done + 2)
                     done += 1
@@ -475,6 +526,7 @@ def _exact_assignment_probabilities(
             prefix_grid,
             lead_total,
             state_budget,
+            dtype,
         )
         for k in range(split_total + 1):
             results.append(((k, split_total - k) + lead, float(probs[k])))

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paradox_lab import (
@@ -20,6 +21,13 @@ from paradox_lab import (
     is_paradox,
     monte_carlo_estimate,
     smoothed_extremes,
+)
+from paradox_lab.likelihood import (
+    DEFAULT_STATE_BUDGET,
+    _check_error_bound,
+    _error_bound,
+    _exact_assignment_probabilities,
+    _float_dtype,
 )
 from conftest import (
     brute_force_paradox_probability,
@@ -237,6 +245,67 @@ def test_mirror_extremes_match_per_assignment_oracle(n, min_witness, max_witness
     assert min(k for k, v in oracle.items() if v == high) == max_witness
     assert extremes.min_witness == Assignment(min_witness)
     assert extremes.max_witness == Assignment(max_witness)
+
+
+TINY = Fraction(1, 2**19)
+
+
+@pytest.mark.parametrize(
+    "rows, n, dtype",
+    [
+        # 51 * 19 = 969 agent-weight bits fit float64's guard, 52 * 19 = 988 do not
+        ([[1 - TINY, TINY], ["1/2", "1/2"]], 51, np.float64),
+        ([[1 - TINY, TINY], ["1/2", "1/2"]], 52, np.longdouble),
+        # a zero weight adds no term, so it does not count as the smallest weight
+        ([[1, 0], [1 - TINY, TINY]], 51, np.float64),
+        ([[1, 0], [1 - TINY, TINY]], 52, np.longdouble),
+    ],
+)
+def test_float_dtype_guard_boundary(rows, n, dtype):
+    assert _float_dtype(_dists(*rows), n) is dtype
+
+
+@pytest.mark.parametrize("name", ["expsmall_instance", "theta1_instance"])
+def test_two_block_error_within_bound(name, request):
+    # every assignment of the two-block chain against its exact probability,
+    # to within the chain's own forward-error bound
+    inst = request.getfixturevalue(name)
+    dists, rule, agenda = inst.distributions, inst.rule, inst.agenda
+    for n in (10, 12, 14):
+        bound = Fraction(_error_bound(_float_dtype(dists, n), n, agenda.p))
+        chain = _exact_assignment_probabilities(
+            dists, n, rule, agenda, "auto", DEFAULT_STATE_BUDGET
+        )
+        assert len(chain) == n + 1
+        for counts, prob in chain:
+            exact = exact_paradox_probability(counts, dists, rule, agenda,
+                                              value_mode="rational")
+            assert abs(Fraction(prob) - exact) <= bound * exact, (n, counts, prob, exact)
+
+
+def test_error_bound_check_rejects_out_of_range():
+    bound = _error_bound(np.float64, 14, 2)
+    assert 0 < bound < 1e-11
+    _check_error_bound(np.array([0.0, 0.5, 1.0, 1.0 + bound / 2]), np.float64, 14, 2)
+    for bad in (-1e-300, 1.0 + 2 * bound, float("nan")):
+        with pytest.raises(FloatingPointError):
+            _check_error_bound(np.array([0.5, bad]), np.float64, 14, 2)
+
+
+def test_tiny_weight_runs_longdouble_and_matches_rational():
+    # 20 * 60 agent-weight bits exceed float64's guard; the extremes still
+    # sit far inside float64 (the minimum is about C(20, 10) * 2^-600)
+    tiny = Fraction(1, 2**60)
+    dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
+    assert _float_dtype(dists, 20) is np.longdouble
+    fast = smoothed_extremes(dists, 20, MIRROR_RULE, MIRROR, mode="exact")
+    slow = smoothed_extremes(dists, 20, MIRROR_RULE, MIRROR, mode="exact",
+                             value_mode="rational")
+    assert slow.min_probability > 0
+    assert fast.min_probability == pytest.approx(float(slow.min_probability), rel=1e-12)
+    assert fast.max_probability == pytest.approx(float(slow.max_probability), rel=1e-12)
+    assert fast.min_witness == slow.min_witness
+    assert fast.max_witness == slow.max_witness
 
 
 def test_monte_carlo_reproducible_and_calibrated():
