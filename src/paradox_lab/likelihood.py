@@ -3,8 +3,10 @@
 Because quota rules are anonymous and agents sample independently, the
 probability depends on a distribution assignment only through its counts, and
 on a profile only through its per-proposition support counts. Exact
-probabilities therefore convolve one agent at a time over the (n+1)^(p+1) grid
-of support-count vectors. The rational engine runs that kernel on Python-int
+probabilities therefore convolve one agent at a time over the grid of
+support-count vectors. Each grid holds just the vectors reachable so far: it
+starts as the single zero vector and grows by one side per agent, up to
+(n+1)^(p+1) cells. The rational engine runs that kernel on Python-int
 numerators: member k's weights become integers over D_k, the least common
 denominator of its weights, and the common denominator prod_k D_k^(c_k) is
 applied once at the end. The float engines run the same kernel in float64 when
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -224,16 +226,21 @@ def _grid_step(
     grid: np.ndarray,
     weights: Sequence,
     patterns: Sequence[tuple[int, ...]],
-    box: int,
+    n: int,
 ) -> np.ndarray:
-    """One-agent convolution: shift-and-add over the vote patterns, within a box."""
-    new = np.zeros_like(grid)
-    hi = min(box, grid.shape[0])
+    """One-agent convolution: shift-and-add over the vote patterns.
+
+    A grid of side s holds every count vector reachable so far; the result
+    has side min(s + 1, n + 1), the vectors reachable after one more agent.
+    """
+    side = grid.shape[0]
+    hi = min(side + 1, n + 1)
+    new = np.zeros((hi,) * grid.ndim, dtype=grid.dtype)
     for w, pat in zip(weights, patterns):
         if w == 0:
             continue
-        dst = tuple(slice(c, hi) for c in pat)
-        src = tuple(slice(0, hi - c) for c in pat)
+        dst = tuple(slice(c, min(c + side, hi)) for c in pat)
+        src = tuple(slice(0, min(side, hi - c)) for c in pat)
         new[dst] += w * grid[src]
     return new
 
@@ -284,13 +291,10 @@ def exact_paradox_probability(
         weights = [_float_weights(member.weights, dtype) for member in dists.members]
 
     patterns = proposition_patterns(agenda)
-    grid = np.zeros((n + 1,) * (p + 1), dtype=dtype)
-    grid[(0,) * (p + 1)] = 1
-    step = 0
+    grid = np.ones((1,) * (p + 1), dtype=dtype)
     for member_weights, count in zip(weights, assignment.counts):
         for _ in range(count):
-            grid = _grid_step(grid, member_weights, patterns, box=step + 2)
-            step += 1
+            grid = _grid_step(grid, member_weights, patterns, n)
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
     if exact:
         return Fraction(int(mass), denominator)
@@ -410,22 +414,25 @@ def _two_block_probabilities(
     rule: QuotaRule,
     agenda: Agenda,
     n_total: int,
-    prefix_grid: Optional[np.ndarray],
-    prefix_support: int,
+    prefix_grid: np.ndarray,
     state_budget: int,
     dtype: type,
 ) -> np.ndarray:
     """P(paradox) for (k member_a agents, split_total - k member_b agents, prefix).
 
-    One stored forward chain for member_a meets one in-place backward
-    absorption chain for member_b, so all split_total + 1 assignments cost
-    O(m * n^(p+2)) together instead of per assignment. Weights, both chains,
-    the stored grids and the result are all in ``dtype``, which
+    One stored forward chain for member_a meets one backward absorption chain
+    for member_b, so all split_total + 1 assignments cost O(m * n^(p+2))
+    together instead of per assignment. ``prefix_grid`` is the count grid of
+    the prefix's agents, of side prefix + 1. Forward grid k has side
+    min(prefix + k + 1, n_total + 1), and the absorption grid that meets it
+    has the same side, so the stored forward chain and the backward sweep
+    both cover sum_k min(prefix + k + 1, n_total + 1)^(p+1) cells. Weights,
+    both chains and the result are all in ``dtype``, which
     :func:`_float_dtype` picked for the n_total-agent run; the result is
     checked against :func:`_error_bound`.
     """
     p = agenda.p
-    dims = (n_total + 1,) * (p + 1)
+    prefix_support = prefix_grid.shape[0] - 1
     cells = (n_total + 1) ** (p + 1)
     chain_entries = sum(
         min(prefix_support + k + 1, n_total + 1) ** (p + 1)
@@ -441,33 +448,24 @@ def _two_block_probabilities(
     weights_a = _float_weights(member_a.weights, dtype)
     weights_b = _float_weights(member_b.weights, dtype)
 
-    if prefix_grid is None:
-        cur = np.zeros(dims, dtype=dtype)
-        cur[(0,) * (p + 1)] = 1.0
-    else:
-        cur = prefix_grid
-    forward: list[np.ndarray] = []
-    for k in range(split_total + 1):
-        box = min(prefix_support + k + 1, n_total + 1)
-        forward.append(cur[(slice(0, box),) * (p + 1)].copy())
-        if k < split_total:
-            cur = _grid_step(cur, weights_a, patterns, box=prefix_support + k + 2)
+    forward = [prefix_grid]
+    for _ in range(split_total):
+        forward.append(_grid_step(forward[-1], weights_a, patterns, n_total))
 
     absorb = _paradox_indicator(rule, agenda, n_total).astype(dtype)
     probs = np.zeros(split_total + 1, dtype=dtype)
-    for j in range(split_total + 1):
-        k = split_total - j
-        box = min(prefix_support + k + 1, n_total + 1)
-        window = (slice(0, box),) * (p + 1)
-        probs[k] = (forward[k] * absorb[window]).sum()
-        if j < split_total:
-            # absorb one more member_b agent: W(s) <- sum_w w * W(s + pattern)
-            new = np.zeros(dims, dtype=dtype)
+    for k in range(split_total, -1, -1):
+        probs[k] = (forward[k] * absorb).sum()
+        if k:
+            # absorb one more member_b agent on forward[k - 1]'s box:
+            # W(s) <- sum_w w * W(s + pattern)
+            side, hi = absorb.shape[0], forward[k - 1].shape[0]
+            new = np.zeros((hi,) * (p + 1), dtype=dtype)
             for w, pat in zip(weights_b, patterns):
                 if w == 0:
                     continue
-                src = tuple(slice(c, n_total + 1) for c in pat)
-                dst = tuple(slice(0, n_total + 1 - c) for c in pat)
+                dst = tuple(slice(0, min(hi, side - c)) for c in pat)
+                src = tuple(slice(c, c + min(hi, side - c)) for c in pat)
                 new[dst] += w * absorb[src]
             absorb = new
     _check_error_bound(probs, dtype, n_total, p)
@@ -504,18 +502,12 @@ def _exact_assignment_probabilities(
     results: list[tuple[tuple[int, ...], Union[Fraction, float]]] = []
     leading = [()] if ell == 2 else list(compositions_upto(n, ell - 2))
     for lead in leading:
-        lead_total = sum(lead)
-        split_total = n - lead_total
-        prefix_grid = None
-        if lead_total:
-            prefix_grid = np.zeros((n + 1,) * (agenda.p + 1), dtype=dtype)
-            prefix_grid[(0,) * (agenda.p + 1)] = 1.0
-            done = 0
-            for offset, count in enumerate(lead):
-                weights = _float_weights(dists.members[2 + offset].weights, dtype)
-                for _ in range(count):
-                    prefix_grid = _grid_step(prefix_grid, weights, patterns, box=done + 2)
-                    done += 1
+        split_total = n - sum(lead)
+        prefix_grid = np.ones((1,) * (agenda.p + 1), dtype=dtype)
+        for offset, count in enumerate(lead):
+            weights = _float_weights(dists.members[2 + offset].weights, dtype)
+            for _ in range(count):
+                prefix_grid = _grid_step(prefix_grid, weights, patterns, n)
         probs = _two_block_probabilities(
             dists.members[0],
             dists.members[1],
@@ -524,7 +516,6 @@ def _exact_assignment_probabilities(
             agenda,
             n,
             prefix_grid,
-            lead_total,
             state_budget,
             dtype,
         )

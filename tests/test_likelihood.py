@@ -265,18 +265,28 @@ def test_float_dtype_guard_boundary(rows, n, dtype):
     assert _float_dtype(_dists(*rows), n) is dtype
 
 
-@pytest.mark.parametrize("name", ["expsmall_instance", "theta1_instance"])
-def test_two_block_error_within_bound(name, request):
+@pytest.mark.parametrize(
+    "name, extra, ns",
+    [
+        pytest.param("expsmall_instance", (), (10, 12, 14), id="expsmall_instance"),
+        pytest.param("theta1_instance", (), (10, 12, 14), id="theta1_instance"),
+        # a third member runs the prefix grids: 66 and 78 assignments
+        pytest.param("theta1_instance", EXPSMALL.members[1:], (10, 11), id="theta1_trio"),
+        pytest.param("three_majority_instance", (), (10, 12), id="three_majority_instance"),
+    ],
+)
+def test_two_block_error_within_bound(name, extra, ns, request):
     # every assignment of the two-block chain against its exact probability,
     # to within the chain's own forward-error bound
     inst = request.getfixturevalue(name)
-    dists, rule, agenda = inst.distributions, inst.rule, inst.agenda
-    for n in (10, 12, 14):
+    dists = DistributionSet(inst.distributions.members + tuple(extra))
+    rule, agenda = inst.rule, inst.agenda
+    for n in ns:
         bound = Fraction(_error_bound(_float_dtype(dists, n), n, agenda.p))
         chain = _exact_assignment_probabilities(
             dists, n, rule, agenda, "auto", DEFAULT_STATE_BUDGET
         )
-        assert len(chain) == n + 1
+        assert len(chain) == math.comb(n + dists.size - 1, dists.size - 1)
         for counts, prob in chain:
             exact = exact_paradox_probability(counts, dists, rule, agenda,
                                               value_mode="rational")
@@ -419,4 +429,11 @@ def test_resource_budgets_raise():
     assert exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
                                      value_mode="rational", state_budget=64) == (
         brute_force_paradox_probability((3, 0), THETA1, MAJ, AND2)
+    )
+    # the two-block chain stores sum_{k=0..10} (k+1)^3 = 4356 grid entries
+    # at n=10, p=2, one grid of side k+1 per split
+    with pytest.raises(ResourceBudgetError):
+        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4355)
+    assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4356) == (
+        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact")
     )
