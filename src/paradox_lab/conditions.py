@@ -4,8 +4,9 @@ Feasibility of an outcome vector at population size n is decided exactly: a
 boolean reachability grid over proposition-count vectors (built once per
 agenda and n) is intersected with the integer count ranges that the quota
 rule assigns to the outcome. Convex-hull sign-pattern feasibility is decided
-by exact Fourier-Motzkin elimination over the rationals; no solver and no
-floating point anywhere.
+by an exact Phase-I simplex over the rationals, whose every answer is
+checked: a witness must reproduce its pattern and an infeasible pattern must
+come with a Farkas certificate. No solver and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,7 +109,14 @@ def refinements(
 # ---------------------------------------------------------------------------
 
 _reach_cache: dict[tuple, np.ndarray] = {}
-_REACH_CACHE_LIMIT = 32
+_CACHE_LIMIT = 32
+
+
+def _remember(cache: dict, key: tuple, value) -> None:
+    """Store value under key, first dropping the oldest entry of a full cache."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
 
 def reachable_counts(
@@ -124,26 +133,23 @@ def reachable_counts(
     cached = _reach_cache.get(key)
     if cached is not None:
         return cached
-    dims = (n + 1,) * (agenda.p + 1)
     cells = (n + 1) ** (agenda.p + 1)
     if cells > state_budget:
         raise ResourceBudgetError(
             "feasibility grid too large", required=cells, budget=state_budget
         )
     patterns = proposition_patterns(agenda)
-    layer = np.zeros(dims, dtype=bool)
-    layer[(0,) * (agenda.p + 1)] = True
-    full = n + 1
-    for _ in range(n):
-        new = np.zeros(dims, dtype=bool)
+    # boxes share two full buffers, as an array per box size fragments the heap
+    dims = agenda.p + 1
+    buffers = [np.zeros(cells, dtype=bool) for _ in range(2)]
+    layer = np.ones((1,) * dims, dtype=bool)
+    for side in range(1, n + 1):
+        new = buffers[side % 2][: (side + 1) ** dims].reshape((side + 1,) * dims)
+        new[...] = False
         for pat in patterns:
-            dst = tuple(slice(c, full) for c in pat)
-            src = tuple(slice(0, full - c) for c in pat)
-            new[dst] |= layer[src]
+            new[tuple(slice(c, c + side) for c in pat)] |= layer
         layer = new
-    if len(_reach_cache) >= _REACH_CACHE_LIMIT:
-        _reach_cache.pop(next(iter(_reach_cache)))
-    _reach_cache[key] = layer
+    _remember(_reach_cache, key, layer)
     return layer
 
 
@@ -215,101 +221,91 @@ def check_kappa1(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> bool:
     """True iff no profile of n votes aggregates to an inconsistent outcome."""
-    return not any(
-        outcome_feasible(alpha, n, rule, agenda, state_budget=state_budget)
-        for alpha in inconsistent_outcomes(agenda)
-    )
+    return not _feasible_inconsistent(n, rule, agenda, state_budget)
 
 
 # ---------------------------------------------------------------------------
-# Sign-pattern feasibility over the convex hull (exact Fourier-Motzkin)
+# Sign-pattern feasibility over the convex hull (exact Phase-I simplex)
 # ---------------------------------------------------------------------------
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+_gaps_cache: dict[tuple[int, int, int], tuple] = {}
 
 
-def _normalize_row(coeffs: tuple[Fraction, ...], rhs: Fraction) -> Row:
-    scale = math.lcm(*(c.denominator for c in coeffs), rhs.denominator)
-    ints = [int(c * scale) for c in coeffs] + [int(rhs * scale)]
-    g = math.gcd(*(abs(v) for v in ints))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+def _member_gaps(
+    dists: DistributionSet, rule: QuotaRule, agenda: Agenda
+) -> tuple[tuple[Fraction, ...], ...]:
+    """gaps[i][k] = q_{i+1} - support_{i+1}(member k), shared by a set's pattern LPs.
 
-
-def _fourier_motzkin(rows: list[Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    """Feasible point of {y : coeffs . y <= rhs for each row}, or None.
-
-    Eliminates the last variable first; a witness is rebuilt by assigning
-    variables in index order from the recorded pre-elimination systems.
+    Cached by identity, as hashing every weight per LP costs a tenth of the gaps;
+    each entry holds its three objects, so no id is reused while it lives.
     """
-    snapshots: list[tuple[int, list[Row]]] = []
-    system = [_normalize_row(c, r) for c, r in rows]
-    for var in range(nvars - 1, -1, -1):
-        system = list(dict.fromkeys(system))
-        snapshots.append((var, system))
-        pos = [r for r in system if r[0][var] > 0]
-        neg = [r for r in system if r[0][var] < 0]
-        keep = [r for r in system if r[0][var] == 0]
-        new = keep
-        for cp, bp in pos:
-            for cn, bn in neg:
-                mp, mn = -cn[var], cp[var]
-                coeffs = tuple(mp * x + mn * y for x, y in zip(cp, cn))
-                new.append(_normalize_row(coeffs, mp * bp + mn * bn))
-        system = new
-    if any(rhs < 0 for _, rhs in system):
-        return None
-    values: list[Fraction] = [Fraction(0)] * nvars
-    for var, snap in reversed(snapshots):
-        lowers, uppers = [], []
-        for coeffs, rhs in snap:
-            a = coeffs[var]
-            if a == 0:
-                continue
-            rest = sum(
-                (c * values[w] for w, c in enumerate(coeffs) if w != var and c != 0),
-                Fraction(0),
-            )
-            bound = (rhs - rest) / a
-            (uppers if a > 0 else lowers).append(bound)
-        if lowers:
-            values[var] = max(lowers)
-        elif uppers:
-            values[var] = min(uppers)
-    return tuple(values)
-
-
-def _pattern_rows(
-    beta: SignPattern, dists: DistributionSet, rule: QuotaRule, agenda: Agenda
-) -> list[Row]:
-    ell = dists.size
-    gaps = []
-    for i in range(1, agenda.p + 2):
-        q = rule.thresholds[i - 1]
-        gaps.append(
+    key = (id(dists), id(rule), id(agenda))
+    if key not in _gaps_cache:
+        gaps = tuple(
             tuple(q - support_probability(pi, i, agenda) for pi in dists.members)
+            for i, q in enumerate(rule.thresholds, start=1)
         )
-    rows: list[Row] = []
-    strict = False
-    for s, gap in zip(beta, gaps):
-        if s > 0:
-            rows.append((gap, Fraction(-1)))
-            strict = True
-        elif s < 0:
-            rows.append((tuple(-g for g in gap), Fraction(-1)))
-            strict = True
-        else:
-            rows.append((gap, Fraction(0)))
-            rows.append((tuple(-g for g in gap), Fraction(0)))
-    for k in range(ell):
-        unit = tuple(Fraction(-1) if j == k else Fraction(0) for j in range(ell))
-        rows.append((unit, Fraction(0)))
-    if not strict:
-        # all-tied pattern: the homogeneous system admits y = 0, which does
-        # not represent a distribution; require total weight >= 1
-        rows.append((tuple(Fraction(-1) for _ in range(ell)), Fraction(-1)))
-    return rows
+        _remember(_gaps_cache, key, (dists, rule, agenda, gaps))
+    return _gaps_cache[key][3]
+
+
+def _pattern_system(
+    beta: SignPattern, gaps: tuple[tuple[Fraction, ...], ...]
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Standard form A x = b, x = (y, t) >= 0, of the pattern on the weight cone.
+
+    Strict rows ask -s * gap . y >= 1 through a surplus t; tied rows ask
+    gap . y = 0. Signs are invariant under positive scaling of y, so unit
+    slack is exact. The all-tied system admits y = 0, which is no
+    distribution, so it also asks sum(y) >= 1.
+    """
+    rows = [[-s * g for g in gap] if s else list(gap) for s, gap in zip(beta, gaps)]
+    b = [abs(s) for s in beta]
+    if not any(beta):
+        rows.append([Fraction(1)] * len(gaps[0]))
+        b.append(1)
+    strict = [i for i, bi in enumerate(b) if bi]
+    return [row + [Fraction(-(i == r)) for r in strict] for i, row in enumerate(rows)], b
+
+
+def _phase_one(
+    A: list[list[Fraction]], b: list[int]
+) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
+    """Exact Phase-I simplex on {x >= 0 : A x = b} with b >= 0, by Bland's rule.
+
+    Minimizes the sum of one artificial per row. Returns (x, None) with a
+    basic feasible x, or (None, pi) with the Farkas certificate
+    pi = 1 - (reduced cost of each artificial), so that pi . A_j <= 0 for
+    every column and pi . b > 0. Bland's rule (Bland 1977) cannot cycle.
+    """
+    rows, cols = len(A), len(A[0])
+    tableau = [row + [Fraction(i == r) for r in range(rows)] + [Fraction(bi)]
+               for i, (row, bi) in enumerate(zip(A, b))]
+    basis = [cols + i for i in range(rows)]
+    # reduced costs of the artificials' sum; the last entry is minus its value
+    cost = [-sum(row[j] for row in tableau) for j in range(cols)]
+    cost += [Fraction(0)] * rows + [Fraction(-sum(b))]
+    while True:
+        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if enter is None:
+            break
+        _, _, leave = min(
+            (row[-1] / row[enter], basis[i], i)
+            for i, row in enumerate(tableau)
+            if row[enter] > 0
+        )
+        pivot = tableau[leave]
+        scale = pivot[enter]
+        pivot[:] = [v / scale for v in pivot]
+        for row in tableau + [cost]:
+            factor = row[enter]
+            if row is not pivot and factor:
+                row[:] = [v - factor * w if w else v for v, w in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1]:
+        return None, [1 - cost[cols + i] for i in range(rows)]
+    value = {j: row[-1] for j, row in zip(basis, tableau)}
+    return [value.get(j, Fraction(0)) for j in range(cols)], None
 
 
 def _check_pattern(beta: Sequence[int], agenda: Agenda) -> SignPattern:
@@ -326,27 +322,28 @@ def sign_pattern_witness(
 ) -> Optional[FractionalVote]:
     """A convex combination of the members realizing the pattern, or None.
 
-    Strict inequalities are encoded on the homogeneous cone (scaled to unit
-    slack), which is exact because the sign of q_i minus the support
-    probability is invariant under positive scaling of the mixture weights.
+    Both answers are checked exactly: the witness must have pattern beta, and
+    None is returned only with a verified Farkas certificate.
     """
     _check_rule(rule, agenda)
     beta = _check_pattern(beta, agenda)
     if dists.m != agenda.m:
         raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
-    y = _fourier_motzkin(_pattern_rows(beta, dists, rule, agenda), dists.size)
-    if y is None:
+    A, b = _pattern_system(beta, _member_gaps(dists, rule, agenda))
+    x, farkas = _phase_one(A, b)
+    if x is None:
+        if sum(map(mul, farkas, b)) <= 0 or any(
+            sum(map(mul, farkas, column)) > 0 for column in zip(*A)
+        ):
+            raise ArithmeticError(f"pattern {beta}: the Farkas certificate does not verify")
         return None
-    total = sum(y, Fraction(0))
-    if total <= 0:
-        return None
-    weights = [Fraction(0)] * dists.m
-    for yk, member in zip(y, dists.members):
-        if yk == 0:
-            continue
-        for j, w in enumerate(member.weights):
-            weights[j] += yk * w
-    return FractionalVote(tuple(w / total for w in weights))
+    y = x[: dists.size]
+    total = sum(y)
+    columns = zip(*(member.weights for member in dists.members))
+    witness = FractionalVote(tuple(sum(map(mul, y, column)) / total for column in columns))
+    if sign_pattern_of(witness, rule, agenda) != beta:
+        raise ArithmeticError(f"pattern {beta}: the simplex witness does not verify")
+    return witness
 
 
 def feasible_sign_pattern(
@@ -395,14 +392,7 @@ def check_kappa2(
     (observable by sweeping n, not assumed here).
     """
     bad = _feasible_inconsistent(n, rule, agenda, state_budget)
-    if not bad:
-        return True
-    for beta in product((1, 0, -1), repeat=agenda.p + 1):
-        if not any(_pattern_allows(alpha, beta) for alpha in bad):
-            continue
-        if feasible_sign_pattern(beta, dists, rule, agenda):
-            return False
-    return True
+    return not _some_pattern_feasible(bad, True, dists, rule, agenda)
 
 
 def check_kappa3(
@@ -415,12 +405,22 @@ def check_kappa3(
 ) -> bool:
     """True iff some reachable distribution has only consistent effective refinements."""
     bad = _feasible_inconsistent(n, rule, agenda, state_budget)
-    for beta in product((1, 0, -1), repeat=agenda.p + 1):
-        if any(_pattern_allows(alpha, beta) for alpha in bad):
-            continue
-        if feasible_sign_pattern(beta, dists, rule, agenda):
-            return True
-    return False
+    return _some_pattern_feasible(bad, False, dists, rule, agenda)
+
+
+def _some_pattern_feasible(
+    bad: list[OutcomeVector],
+    touches_bad: bool,
+    dists: DistributionSet,
+    rule: QuotaRule,
+    agenda: Agenda,
+) -> bool:
+    """True iff the hull realizes a pattern allowing some (touches_bad) or no bad outcome."""
+    return any(
+        feasible_sign_pattern(beta, dists, rule, agenda)
+        for beta in product((1, 0, -1), repeat=agenda.p + 1)
+        if any(_pattern_allows(alpha, beta) for alpha in bad) == touches_bad
+    )
 
 
 def check_kappa4(rule: QuotaRule, agenda: Agenda) -> bool:
@@ -457,10 +457,10 @@ def kappa_conditions(
     and are reported as false; the standalone checkers keep their literal
     definitions.
     """
-    k1 = check_kappa1(n, rule, agenda, state_budget=state_budget)
+    bad = _feasible_inconsistent(n, rule, agenda, state_budget)
     k4 = check_kappa4(rule, agenda)
-    if k1:
+    if not bad:
         return (True, False, False, k4)
-    k2 = check_kappa2(dists, rule, agenda, n, state_budget=state_budget)
-    k3 = k2 or check_kappa3(dists, rule, agenda, n, state_budget=state_budget)
+    k2 = not _some_pattern_feasible(bad, True, dists, rule, agenda)
+    k3 = k2 or _some_pattern_feasible(bad, False, dists, rule, agenda)
     return (False, k2, k3, k4)

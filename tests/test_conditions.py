@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from paradox_lab import (
@@ -17,11 +18,23 @@ from paradox_lab import (
     feasible_sign_pattern,
     kappa_conditions,
     outcome_feasible,
+    parse_instance,
+    reachable_counts,
     refinements,
     sign_pattern_of,
     sign_pattern_witness,
 )
-from conftest import brute_force_outcomes, random_instance
+from paradox_lab import conditions
+from paradox_lab.errors import ResourceBudgetError
+from paradox_lab.aggregation import proposition_patterns
+from conftest import (
+    INSTANCE_DIR,
+    brute_force_outcomes,
+    enumerate_histograms,
+    random_instance,
+    random_positive_members,
+    random_rule,
+)
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -166,8 +179,8 @@ def test_lp_agrees_with_hull_grid_search():
 
 
 def test_lp_three_member_hull():
-    # three variables through the elimination: patterns seen on a simplex
-    # grid must be feasible, and witnesses must verify
+    # three member weights in the LP: patterns seen on a simplex grid over
+    # the hull must be feasible, and witnesses must verify
     rng = random.Random(57)
     for _ in range(4):
         agenda, rule, dists = random_instance(rng, members=3)
@@ -191,6 +204,71 @@ def test_lp_three_member_hull():
                 assert witness is not None
             if witness is not None:
                 assert sign_pattern_of(witness, rule, agenda) == beta
+
+
+def test_simplex_answers_verify_on_random_sets():
+    # every pattern of p <= 3 sets with 2-10 strictly positive members gets
+    # either a feasible point that reproduces the pattern or a Farkas vector
+    rng = random.Random(61)
+    feasible = infeasible = 0
+    for p in (1, 2, 2, 3, 3, 3):
+        for members in (2, 5, 10):
+            m = 1 << p
+            agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(m)))
+            rule = random_rule(rng, p + 1)
+            dists = random_positive_members(rng, m, members)
+            gaps = conditions._member_gaps(dists, rule, agenda)
+            for beta in product((1, 0, -1), repeat=p + 1):
+                A, b = conditions._pattern_system(beta, gaps)
+                x, farkas = conditions._phase_one(A, b)
+                witness = sign_pattern_witness(beta, dists, rule, agenda)
+                if x is None:
+                    infeasible += 1
+                    assert witness is None
+                    assert sum(pi * bi for pi, bi in zip(farkas, b)) > 0
+                    for column in zip(*A):
+                        assert sum(pi * a for pi, a in zip(farkas, column)) <= 0
+                else:
+                    feasible += 1
+                    assert min(x) >= 0
+                    assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+                    assert sign_pattern_of(witness, rule, agenda) == beta
+    assert feasible and infeasible
+
+
+def test_kappa_on_ten_member_three_premise_sets():
+    # random 10-member sets whose sign-pattern LPs ran for minutes under
+    # Fourier-Motzkin elimination
+    path = "tests/instances/three_premise_majority.json"
+    inst = parse_instance(INSTANCE_DIR / "three_premise_majority.json")
+    for s in (1, 2, 3):
+        dists = random_positive_members(random.Random(f"{path}:10:{s}"), inst.agenda.m, 10)
+        assert kappa_conditions(dists, inst.rule, inst.agenda, 20) == (
+            False, False, True, False,
+        )
+
+
+def test_reachable_counts_match_histogram_enumeration():
+    rng = random.Random(73)
+    for p in (1, 2, 3):
+        for _ in range(3):
+            agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+            patterns = proposition_patterns(agenda)
+            for n in range(1, 9):
+                expected = np.zeros((n + 1,) * (p + 1), dtype=bool)
+                for hist in enumerate_histograms(n, agenda.m):
+                    counts = tuple(sum(h * pat[i] for h, pat in zip(hist, patterns))
+                                   for i in range(p + 1))
+                    expected[counts] = True
+                assert np.array_equal(reachable_counts(agenda, n), expected)
+
+
+def test_reachable_counts_budget_boundary(monkeypatch):
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    agenda = Agenda.conjunction(3)
+    with pytest.raises(ResourceBudgetError):
+        reachable_counts(agenda, 8, state_budget=9**4 - 1)
+    assert reachable_counts(agenda, 8, state_budget=9**4).shape == (9,) * 4
 
 
 def test_kappa2_kappa3_worked_examples():
