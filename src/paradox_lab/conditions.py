@@ -129,15 +129,15 @@ def reachable_counts(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    key = (agenda.p, agenda.truth_table, n)
-    cached = _reach_cache.get(key)
-    if cached is not None:
-        return cached
     cells = (n + 1) ** (agenda.p + 1)
     if cells > state_budget:
         raise ResourceBudgetError(
             "feasibility grid too large", required=cells, budget=state_budget
         )
+    key = (agenda.p, agenda.truth_table, n)
+    cached = _reach_cache.get(key)
+    if cached is not None:
+        return cached
     patterns = proposition_patterns(agenda)
     # boxes share two full buffers, as an array per box size fragments the heap
     dims = agenda.p + 1

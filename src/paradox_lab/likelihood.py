@@ -14,7 +14,8 @@ every nonzero product of n weights provably stays far inside float64's normal
 range, and in longdouble otherwise (see :func:`_float_dtype`). Every float
 result is checked against the forward-error bound of its nonnegative
 multiply-add chain (see :func:`_check_error_bound`). The adversarial sup/inf
-ranges over count multisets rather than ordered assignments.
+ranges over count multisets; in every value mode one two-block chain gives
+each assignment's probability (see :func:`_exact_assignment_probabilities`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ DEFAULT_TRIALS = 10**6
 DEFAULT_DENOMINATOR_BITS = 4096
 DEFAULT_STATE_BUDGET = 60_000_000
 DEFAULT_ASSIGNMENT_BUDGET = 50_000
-_TWO_BLOCK_MIN_N = 10
+# auto extremes run on integer numerators below this n and in floats from it on
+_AUTO_FLOAT_MIN_N = 10
 # 1022 - 53: a product of weights at least 2^-969 lies 53 bits above the
 # smallest normal float64, so every rounding near it stays within eps/2 relative
 _FLOAT64_RANGE_BITS = 969
@@ -165,18 +167,21 @@ def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
     return truth != conclusion
 
 
-def _integer_weights(
-    dists: DistributionSet, counts: Sequence[int]
-) -> tuple[list[list[int]], int]:
-    """Each member's weights as integers over D_k, the LCD of its weights,
-    and the common denominator prod_k D_k^(c_k) of the assignment's law."""
-    numerators = []
-    denominator = 1
-    for member, count in zip(dists.members, counts):
+def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
+    """Each member's weights in ``dtype`` with D_k, the LCD of its weights.
+
+    For ``object`` the weights are the integer numerators w * D_k, so c_k
+    agents of member k put D_k^(c_k) into the common denominator.
+    """
+    weights, lcds = [], []
+    for member in dists.members:
         lcd = math.lcm(*(w.denominator for w in member.weights))
-        numerators.append([w.numerator * (lcd // w.denominator) for w in member.weights])
-        denominator *= lcd**count
-    return numerators, denominator
+        if dtype is object:
+            weights.append([w.numerator * (lcd // w.denominator) for w in member.weights])
+        else:
+            weights.append([dtype(w.numerator) / dtype(w.denominator) for w in member.weights])
+        lcds.append(lcd)
+    return weights, lcds
 
 
 def _float_dtype(dists: DistributionSet, n: int) -> type:
@@ -191,10 +196,6 @@ def _float_dtype(dists: DistributionSet, n: int) -> type:
     eps = min(w for member in dists.members for w in member.weights if w > 0)
     fits = eps.denominator**n <= eps.numerator**n << _FLOAT64_RANGE_BITS
     return np.float64 if fits else np.longdouble
-
-
-def _float_weights(weights: Sequence[Fraction], dtype: type) -> list:
-    return [dtype(w.numerator) / dtype(w.denominator) for w in weights]
 
 
 def _error_bound(dtype: type, n: int, p: int) -> float:
@@ -280,15 +281,13 @@ def exact_paradox_probability(
         raise ResourceBudgetError(
             "probability grid too large", required=cells, budget=state_budget
         )
-    numerators, denominator = _integer_weights(dists, assignment.counts)
+    numerators, lcds = _member_weights(dists, object)
+    denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
     exact = value_mode == "rational" or (
         value_mode == "auto" and denominator.bit_length() <= denominator_bit_limit
     )
-    if exact:
-        weights, dtype = numerators, object
-    else:
-        dtype = _float_dtype(dists, n)
-        weights = [_float_weights(member.weights, dtype) for member in dists.members]
+    dtype = object if exact else _float_dtype(dists, n)
+    weights = numerators if exact else _member_weights(dists, dtype)[0]
 
     patterns = proposition_patterns(agenda)
     grid = np.ones((1,) * (p + 1), dtype=dtype)
@@ -312,7 +311,8 @@ def histogram_distribution(
         raise DimensionError(
             f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
         )
-    numerators, denominator = _integer_weights(dists, assignment.counts)
+    numerators, lcds = _member_weights(dists, object)
+    denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
     states = {(0,) * dists.m: 1}
     for member_weights, count in zip(numerators, assignment.counts):
         sparse = [(j, w) for j, w in enumerate(member_weights) if w != 0]
@@ -408,15 +408,14 @@ def monte_carlo_estimate(
 
 
 def _two_block_probabilities(
-    member_a,
-    member_b,
+    weights_a: Sequence,
+    weights_b: Sequence,
     split_total: int,
     rule: QuotaRule,
     agenda: Agenda,
     n_total: int,
     prefix_grid: np.ndarray,
     state_budget: int,
-    dtype: type,
 ) -> np.ndarray:
     """P(paradox) for (k member_a agents, split_total - k member_b agents, prefix).
 
@@ -426,27 +425,23 @@ def _two_block_probabilities(
     the prefix's agents, of side prefix + 1. Forward grid k has side
     min(prefix + k + 1, n_total + 1), and the absorption grid that meets it
     has the same side, so the stored forward chain and the backward sweep
-    both cover sum_k min(prefix + k + 1, n_total + 1)^(p+1) cells. Weights,
-    both chains and the result are all in ``dtype``, which
-    :func:`_float_dtype` picked for the n_total-agent run; the result is
-    checked against :func:`_error_bound`.
+    both cover sum_k min(prefix + k + 1, n_total + 1)^(p+1) cells. Everything
+    runs in the prefix grid's dtype, the weights' type: on integer numerators
+    entry k is the numerator over D_a^k * D_b^(split_total - k) * D_prefix.
     """
     p = agenda.p
+    dtype = prefix_grid.dtype
     prefix_support = prefix_grid.shape[0] - 1
-    cells = (n_total + 1) ** (p + 1)
+    # the last forward grid has the full side n_total + 1
     chain_entries = sum(
         min(prefix_support + k + 1, n_total + 1) ** (p + 1)
         for k in range(split_total + 1)
     )
-    if cells > state_budget or chain_entries > state_budget:
+    if chain_entries > state_budget:
         raise ResourceBudgetError(
-            "exact-extremes state grid too large",
-            required=max(cells, chain_entries),
-            budget=state_budget,
+            "exact-extremes state grid too large", required=chain_entries, budget=state_budget
         )
     patterns = proposition_patterns(agenda)
-    weights_a = _float_weights(member_a.weights, dtype)
-    weights_b = _float_weights(member_b.weights, dtype)
 
     forward = [prefix_grid]
     for _ in range(split_total):
@@ -468,7 +463,6 @@ def _two_block_probabilities(
                 src = tuple(slice(c, c + min(hi, side - c)) for c in pat)
                 new[dst] += w * absorb[src]
             absorb = new
-    _check_error_bound(probs, dtype, n_total, p)
     return probs
 
 
@@ -480,47 +474,52 @@ def _exact_assignment_probabilities(
     value_mode: str,
     state_budget: int,
 ) -> list[tuple[tuple[int, ...], Union[Fraction, float]]]:
-    ell = dists.size
-    if value_mode == "rational" or n < _TWO_BLOCK_MIN_N or ell < 2:
-        return [
-            (
-                counts,
-                exact_paradox_probability(
-                    counts,
-                    dists,
-                    rule,
-                    agenda,
-                    value_mode=value_mode,
-                    state_budget=state_budget,
-                ),
-            )
-            for counts in compositions(n, ell)
-        ]
+    """Every assignment's probability, from one two-block chain per prefix.
+
+    Members 0 and 1 are the two blocks, members 2.. the prefix. The number
+    type is chosen once: 'rational' runs on integer numerators, 'float' in
+    :func:`_float_dtype`'s dtype, and 'auto' is rational iff
+    n < _AUTO_FLOAT_MIN_N and the worst denominator max_k D_k^n fits
+    DEFAULT_DENOMINATOR_BITS. Float results are checked by
+    :func:`_check_error_bound`.
+    """
+    if value_mode not in ("auto", "rational", "float"):
+        raise ValueError(f"unknown value_mode {value_mode!r}")
+    if dists.size == 1:
+        prob = exact_paradox_probability(
+            (n,), dists, rule, agenda, value_mode=value_mode, state_budget=state_budget
+        )
+        return [((n,), prob)]
+
+    numerators, lcds = _member_weights(dists, object)
+    exact = value_mode == "rational" or (
+        value_mode == "auto"
+        and n < _AUTO_FLOAT_MIN_N
+        and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
+    )
+    dtype = object if exact else _float_dtype(dists, n)
+    weights = numerators if exact else _member_weights(dists, dtype)[0]
 
     patterns = proposition_patterns(agenda)
-    dtype = _float_dtype(dists, n)
     results: list[tuple[tuple[int, ...], Union[Fraction, float]]] = []
-    leading = [()] if ell == 2 else list(compositions_upto(n, ell - 2))
-    for lead in leading:
+    for lead in compositions_upto(n, dists.size - 2):
         split_total = n - sum(lead)
         prefix_grid = np.ones((1,) * (agenda.p + 1), dtype=dtype)
-        for offset, count in enumerate(lead):
-            weights = _float_weights(dists.members[2 + offset].weights, dtype)
+        for member_weights, count in zip(weights[2:], lead):
             for _ in range(count):
-                prefix_grid = _grid_step(prefix_grid, weights, patterns, n)
+                prefix_grid = _grid_step(prefix_grid, member_weights, patterns, n)
         probs = _two_block_probabilities(
-            dists.members[0],
-            dists.members[1],
-            split_total,
-            rule,
-            agenda,
-            n,
-            prefix_grid,
-            state_budget,
-            dtype,
+            weights[0], weights[1], split_total, rule, agenda, n, prefix_grid, state_budget
         )
-        for k in range(split_total + 1):
-            results.append(((k, split_total - k) + lead, float(probs[k])))
+        if not exact:
+            _check_error_bound(probs, dtype, n, agenda.p)
+        for k, prob in enumerate(probs):
+            counts = (k, split_total - k) + lead
+            if exact:
+                denominator = math.prod(lcd**c for lcd, c in zip(lcds, counts))
+                results.append((counts, Fraction(int(prob), denominator)))
+            else:
+                results.append((counts, float(prob)))
     return results
 
 

@@ -271,6 +271,16 @@ def test_reachable_counts_budget_boundary(monkeypatch):
     assert reachable_counts(agenda, 8, state_budget=9**4).shape == (9,) * 4
 
 
+def test_reachable_counts_charges_budget_before_cache(monkeypatch):
+    # a grid built under a large enough budget is not handed out under a smaller one
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    agenda = Agenda.conjunction(3)
+    assert reachable_counts(agenda, 8, state_budget=9**4).shape == (9,) * 4
+    with pytest.raises(ResourceBudgetError):
+        reachable_counts(agenda, 8, state_budget=9**4 - 1)
+    assert len(conditions._reach_cache) == 1
+
+
 def test_kappa2_kappa3_worked_examples():
     for n in (2, 3, 10):
         assert not check_kappa2(THETA1, MAJ, AND2, n)

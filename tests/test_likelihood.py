@@ -187,6 +187,55 @@ def test_three_member_extremes_match_per_assignment():
     assert fast.min_witness == slow.min_witness
 
 
+def _assert_rational_chain_is_exact(dists, n, rule, agenda):
+    # every assignment of the rational chain against its own convolution
+    chain = _exact_assignment_probabilities(dists, n, rule, agenda, "rational",
+                                            DEFAULT_STATE_BUDGET)
+    assert sorted(counts for counts, _ in chain) == list(compositions(n, dists.size))
+    for counts, prob in chain:
+        exact = exact_paradox_probability(counts, dists, rule, agenda, value_mode="rational")
+        assert type(prob) is Fraction and prob == exact, (n, counts, prob, exact)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["theta1_instance", "expsmall_instance", "mirror_instance",
+     "three_majority_instance", "three_quota_instance"],
+)
+def test_rational_chain_matches_per_assignment_convolution(name, request):
+    inst = request.getfixturevalue(name)
+    for n in range(1, (10 if inst.agenda.p == 3 else 14) + 1):
+        _assert_rational_chain_is_exact(inst.distributions, n, inst.rule, inst.agenda)
+
+
+def test_rational_chain_with_prefix_members_matches_convolution(three_majority_instance):
+    # a third member runs the prefix grids, and four p=3 members two prefix levels
+    trio = DistributionSet(THETA1.members + EXPSMALL.members[1:])
+    for n in range(1, 12):
+        _assert_rational_chain_is_exact(trio, n, MAJ, AND2)
+    inst = three_majority_instance
+    quartet = random_positive_members(random.Random(7), inst.agenda.m, 4)
+    for n in range(1, 7):
+        _assert_rational_chain_is_exact(quartet, n, inst.rule, inst.agenda)
+
+
+def test_auto_extremes_choose_one_number_type():
+    assert type(smoothed_extremes(THETA1, 9, MAJ, AND2).max_probability) is Fraction
+    assert type(smoothed_extremes(THETA1, 10, MAJ, AND2).max_probability) is float
+    # D = 2^460: at n=9 only (9, 0)'s denominator, 2^4140, exceeds 4096 bits,
+    # and auto decides for the whole chain from that worst one: all floats
+    tiny = Fraction(1, 2**460)
+    dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
+    for n, kind in ((8, Fraction), (9, float)):
+        auto = _exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR, "auto",
+                                               DEFAULT_STATE_BUDGET)
+        rational = dict(_exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR,
+                                                        "rational", DEFAULT_STATE_BUDGET))
+        assert all(type(prob) is kind for _, prob in auto)
+        for counts, prob in auto:
+            assert prob == pytest.approx(float(rational[counts]), rel=1e-15)
+
+
 def test_extremes_bounds_and_order():
     rng = random.Random(29)
     for _ in range(6):
@@ -436,4 +485,11 @@ def test_resource_budgets_raise():
         smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4355)
     assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4356) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact")
+    )
+    # the rational chain on integer numerators is charged the same entries
+    with pytest.raises(ResourceBudgetError):
+        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational", state_budget=4355)
+    assert smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational",
+                             state_budget=4356) == (
+        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational")
     )
