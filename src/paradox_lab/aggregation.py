@@ -1,13 +1,18 @@
 """Quota-rule evaluation, outcome consistency, and paradox detection.
 
 Everything here is a pure function of exact rational inputs; the verdict on a
-proposition depends only on its support count and the total weight.
+proposition depends only on its support count and the total weight. On an
+integer count out of n votes the verdict is 1 iff the count reaches
+:func:`acceptance_count`; :func:`outcome_window` turns an outcome vector into
+the box of count vectors that give it. Every integer-count verdict in the
+package goes through these two; :func:`count_verdict` is the reference for
+fractional histograms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DimensionError
 from .model import (
@@ -58,6 +63,35 @@ def count_verdict(count: Fraction, total: Fraction, q: Fraction, d: int) -> int:
     if count == bar:
         return d
     return 0
+
+
+def acceptance_count(q: Fraction, d: int, n: int) -> int:
+    """Smallest integer count out of n with verdict 1: ceil(q*n) if d else floor(q*n) + 1.
+
+    Exact integer floor division; as q lies in [0, 1] the result lies in [0, n+1].
+    """
+    if d:
+        return -(-q.numerator * n // q.denominator)
+    return q.numerator * n // q.denominator + 1
+
+
+def outcome_window(
+    alpha: Sequence[int], rule: QuotaRule, n: int
+) -> Optional[tuple[slice, ...]]:
+    """Box of count vectors over [0, n]^(p+1) whose quota outcome is alpha, or None.
+
+    Proposition i contributes [a_i, n+1) when alpha_i = 1 and [0, a_i) when
+    alpha_i = 0, with a_i its :func:`acceptance_count`; None when some range
+    is empty.
+    """
+    window = []
+    for a, q, d in zip(alpha, rule.thresholds, rule.breakings):
+        accept = acceptance_count(q, d, n)
+        lo, hi = (accept, n + 1) if a == 1 else (0, accept)
+        if lo >= hi:
+            return None
+        window.append(slice(lo, hi))
+    return tuple(window)
 
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:

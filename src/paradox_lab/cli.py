@@ -342,10 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 options.pop("instance"),
                 require_strictly_positive=(command == "check"),
             )
-        options.setdefault("budget_states", DEFAULT_STATE_BUDGET)
-        options.setdefault("budget_assignments", DEFAULT_ASSIGNMENT_BUDGET)
-        options.setdefault("trials", DEFAULT_TRIALS)
-        options.setdefault("seed", 0)
         options["threads"] = _env_threads()
         result = run_command(command, instance, options)
     except ResourceBudgetError as exc:

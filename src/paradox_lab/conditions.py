@@ -2,16 +2,16 @@
 
 Feasibility of an outcome vector at population size n is decided exactly: a
 boolean reachability grid over proposition-count vectors (built once per
-agenda and n) is intersected with the integer count ranges that the quota
-rule assigns to the outcome. Convex-hull sign-pattern feasibility is decided
-by an exact Phase-I simplex over the rationals, whose every answer is
-checked: a witness must reproduce its pattern and an infeasible pattern must
-come with a Farkas certificate. No solver and no floating point anywhere.
+agenda and n) is intersected with the outcome's box of counts from
+:func:`~paradox_lab.aggregation.outcome_window`. Convex-hull sign-pattern
+feasibility is decided by an exact Phase-I simplex over the rationals, whose
+every answer is checked: a witness must reproduce its pattern and an
+infeasible pattern must come with a Farkas certificate. No solver and no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,6 +26,7 @@ from .aggregation import (
     OutcomeVector,
     _check_rule,
     inconsistent_outcomes,
+    outcome_window,
     proposition_patterns,
 )
 
@@ -153,26 +154,6 @@ def reachable_counts(
     return layer
 
 
-def verdict_count_range(
-    alpha_i: int, n: int, q: Fraction, d: int
-) -> Optional[tuple[int, int]]:
-    """Inclusive range of integer support counts yielding verdict alpha_i, or None.
-
-    The verdict is monotone in the count, so each verdict value occupies one
-    interval of [0, n]. Bounds are computed with exact rational floor/ceil.
-    """
-    bar = q * n
-    if d == 1:
-        first_one = math.ceil(bar)
-    else:
-        first_one = math.floor(bar) + 1
-    if alpha_i == 1:
-        lo, hi = max(first_one, 0), n
-    else:
-        lo, hi = 0, min(first_one - 1, n)
-    return (lo, hi) if lo <= hi else None
-
-
 def outcome_feasible(
     alpha: Sequence[int],
     n: int,
@@ -186,14 +167,10 @@ def outcome_feasible(
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != agenda.p + 1:
         raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
-    ranges = []
-    for i in range(1, agenda.p + 2):
-        r = verdict_count_range(alpha[i - 1], n, rule.thresholds[i - 1], rule.breakings[i - 1])
-        if r is None:
-            return False
-        ranges.append(r)
+    window = outcome_window(alpha, rule, n)
+    if window is None:
+        return False
     grid = reachable_counts(agenda, n, state_budget=state_budget)
-    window = tuple(slice(lo, hi + 1) for lo, hi in ranges)
     return bool(grid[window].any())
 
 

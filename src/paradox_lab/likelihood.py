@@ -30,12 +30,17 @@ import numpy as np
 
 from .errors import DimensionError, ResourceBudgetError
 from .model import Agenda, QuotaRule
-from .aggregation import _check_rule, count_verdict, proposition_patterns
-from .conditions import DistributionSet, kappa_conditions
+from .aggregation import (
+    _check_rule,
+    acceptance_count,
+    inconsistent_outcomes,
+    outcome_window,
+    proposition_patterns,
+)
+from .conditions import DEFAULT_STATE_BUDGET, DistributionSet, kappa_conditions
 
 DEFAULT_TRIALS = 10**6
 DEFAULT_DENOMINATOR_BITS = 4096
-DEFAULT_STATE_BUDGET = 60_000_000
 DEFAULT_ASSIGNMENT_BUDGET = 50_000
 # auto extremes run on integer numerators below this n and in floats from it on
 _AUTO_FLOAT_MIN_N = 10
@@ -109,12 +114,8 @@ class SmoothedExtremes:
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All count vectors of length ``parts`` summing to n, lexicographically."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for head in compositions_upto(n, parts - 1):
+        yield head + (n - sum(head),)
 
 
 def compositions_upto(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -137,34 +138,14 @@ def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> No
         raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
 
 
-def _verdict_lookup(rule: QuotaRule, agenda: Agenda, n: int) -> list[np.ndarray]:
-    """Per-proposition verdict for every integer support count 0..n (exact)."""
-    tables = []
-    for i in range(1, agenda.p + 2):
-        q, d = rule.thresholds[i - 1], rule.breakings[i - 1]
-        tables.append(
-            np.array(
-                [count_verdict(Fraction(c), Fraction(n), q, d) for c in range(n + 1)],
-                dtype=np.int8,
-            )
-        )
-    return tables
-
-
 def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
     """Boolean grid over count vectors marking inconsistent quota outcomes at total n."""
-    p = agenda.p
-    tables = _verdict_lookup(rule, agenda, n)
-    idx = np.zeros((n + 1,) * (p + 1), dtype=np.int32)
-    for i in range(p):
-        shape = [1] * (p + 1)
-        shape[i] = n + 1
-        idx = idx * 2 + tables[i].astype(np.int32).reshape(shape)
-    truth = np.array(agenda.truth_table, dtype=np.int8)[idx]
-    shape = [1] * (p + 1)
-    shape[p] = n + 1
-    conclusion = tables[p].reshape(shape)
-    return truth != conclusion
+    indicator = np.zeros((n + 1,) * (agenda.p + 1), dtype=bool)
+    for alpha in inconsistent_outcomes(agenda):
+        window = outcome_window(alpha, rule, n)
+        if window is not None:
+            indicator[window] = True
+    return indicator
 
 
 def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
@@ -356,7 +337,8 @@ def monte_carlo_estimate(
     The generator stream is fully determined by the seed; identical
     (seed, trials, instance) inputs reproduce the estimate bit for bit.
     Sampling probabilities are float-rounded, but every verdict on a sampled
-    integer histogram uses exact integer cross-multiplication.
+    integer histogram compares its support counts against the exact
+    acceptance counts of :func:`~paradox_lab.aggregation.acceptance_count`.
     """
     assignment = _as_assignment(assignment)
     _check_inputs(dists, rule, agenda)
@@ -369,9 +351,10 @@ def monte_carlo_estimate(
     rng = np.random.default_rng(seed)
 
     chi = np.array(proposition_patterns(agenda), dtype=np.int64)
-    numerators = np.array([q.numerator for q in rule.thresholds], dtype=np.int64)
-    denominators = np.array([q.denominator for q in rule.thresholds], dtype=np.int64)
-    breakings = np.array(rule.breakings, dtype=bool)
+    accept = np.array(
+        [acceptance_count(q, d, n) for q, d in zip(rule.thresholds, rule.breakings)],
+        dtype=np.int64,
+    )
     truth = np.array(agenda.truth_table, dtype=np.int64)
     powers = 1 << np.arange(agenda.p - 1, -1, -1)
 
@@ -390,9 +373,7 @@ def monte_carlo_estimate(
                 continue
             draws = rng.multinomial(count, member_pvals, size=chunk)
             support += draws @ chi
-        lhs = support * denominators[None, :]
-        rhs = numerators[None, :] * n
-        verdict = (lhs > rhs) | ((lhs == rhs) & breakings[None, :])
+        verdict = support >= accept
         index = verdict[:, : agenda.p].astype(np.int64) @ powers
         hits += int((truth[index] != verdict[:, agenda.p]).sum())
         done += chunk
@@ -480,23 +461,24 @@ def _exact_assignment_probabilities(
     type is chosen once: 'rational' runs on integer numerators, 'float' in
     :func:`_float_dtype`'s dtype, and 'auto' is rational iff
     n < _AUTO_FLOAT_MIN_N and the worst denominator max_k D_k^n fits
-    DEFAULT_DENOMINATOR_BITS. Float results are checked by
-    :func:`_check_error_bound`.
+    DEFAULT_DENOMINATOR_BITS. A single member runs one
+    :func:`exact_paradox_probability` in that type. Float results are checked
+    by :func:`_check_error_bound`.
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
-    if dists.size == 1:
-        prob = exact_paradox_probability(
-            (n,), dists, rule, agenda, value_mode=value_mode, state_budget=state_budget
-        )
-        return [((n,), prob)]
-
     numerators, lcds = _member_weights(dists, object)
     exact = value_mode == "rational" or (
         value_mode == "auto"
         and n < _AUTO_FLOAT_MIN_N
         and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
     )
+    if dists.size == 1:
+        prob = exact_paradox_probability(
+            (n,), dists, rule, agenda,
+            value_mode="rational" if exact else "float", state_budget=state_budget,
+        )
+        return [((n,), prob)]
     dtype = object if exact else _float_dtype(dists, n)
     weights = numerators if exact else _member_weights(dists, dtype)[0]
 

@@ -18,7 +18,7 @@ from paradox_lab import (
     is_tied,
     proposition_weight,
 )
-from paradox_lab.aggregation import count_verdict
+from paradox_lab.aggregation import acceptance_count, count_verdict, outcome_window
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -128,6 +128,35 @@ def test_verdict_monotone_in_support():
         n = rng.randint(1, 9)
         verdicts = [count_verdict(Fraction(c), Fraction(n), q, d) for c in range(n + 1)]
         assert all(a <= b for a, b in zip(verdicts, verdicts[1:]))
+
+
+def test_count_verdict_agrees_with_acceptance_count():
+    # denominators up to and past int64, so no fixed-width arithmetic can pass by luck
+    rng = random.Random(23)
+    dens = (1, 2, 3, 7, 10**18, 10**19, 2**63 + 1, 2**64 + 13)
+    for _ in range(400):
+        den = rng.choice(dens)
+        n = rng.randint(1, 50)
+        if rng.random() < 0.4:
+            # thresholds at or one step off a multiple of 1/n, where ties live
+            num = min(den, max(0, rng.randint(0, n) * den // n + rng.choice((-1, 0, 1))))
+        else:
+            num = rng.randint(0, den)
+        q = Fraction(num, den)
+        for d in (0, 1):
+            accept = acceptance_count(q, d, n)
+            assert 0 <= accept <= n + 1
+            for c in range(n + 1):
+                assert (c >= accept) == count_verdict(Fraction(c), Fraction(n), q, d)
+
+
+def test_outcome_window_empty_ranges():
+    n = 4
+    # q = 1 with d = 0 accepts no count, q = 0 with d = 1 rejects none
+    edge = QuotaRule.of([1, 0], [0, 1])
+    assert outcome_window((1, 0), edge, n) is None
+    assert outcome_window((0, 0), edge, n) is None
+    assert outcome_window((0, 1), edge, n) == (slice(0, n + 1), slice(0, n + 1))
 
 
 def test_independence_of_other_coordinates():

@@ -166,6 +166,17 @@ def test_cli_mc_deterministic(capsys):
     assert first["max"]["stderr"] > 0
 
 
+def test_cli_mc_threshold_denominator_beyond_int64(tmp_path, capsys):
+    data = _base_dict()
+    data["thresholds"][2] = f"{5 * 10**18 + 1}/{10**19}"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    code = main(["mc", "--instance", str(path), "--n", "10", "--trials", "2000", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.0 <= payload["min"]["value"] <= payload["max"]["value"] <= 1.0
+
+
 def test_cli_sweep_csv_and_fit(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

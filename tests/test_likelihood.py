@@ -253,6 +253,17 @@ def test_single_member_extremes_collapse():
     assert extremes.max_witness == Assignment((4,))
 
 
+def test_single_member_auto_extremes_follow_the_extremes_type():
+    # auto extremes switch to floats at n = 10 for one member as for two
+    single = DistributionSet((FractionalVote.of(["1/4", "1/4", "1/4", "1/4"]),))
+    for n, kind in ((9, Fraction), (10, float)):
+        auto = smoothed_extremes(single, n, MAJ, AND2, mode="exact")
+        exact = exact_paradox_probability((n,), single, MAJ, AND2, value_mode="rational")
+        assert type(auto.max_probability) is kind
+        assert type(auto.min_probability) is kind
+        assert auto.max_probability == pytest.approx(exact, rel=1e-12)
+
+
 def test_mirror_extremes_vanish_at_odd_n():
     for n in (3, 9, 15):
         extremes = smoothed_extremes(MIRROR_SET, n, MIRROR_RULE, MIRROR, mode="exact")
@@ -375,6 +386,16 @@ def test_monte_carlo_reproducible_and_calibrated():
     assert abs(est1 - float(exact)) <= 3 * se1
     other, _ = monte_carlo_estimate((2, 0), THETA1, 2, MAJ, AND2, trials=50_000, seed=124)
     assert other != est1
+
+
+def test_monte_carlo_threshold_denominator_beyond_int64():
+    # support * 10^18 overflows int64 at n = 10; verdicts must stay exact
+    rule = QuotaRule.of(["1/2", "1/2", Fraction(5 * 10**17 + 1, 10**18)], [1, 1, 0])
+    single = _dists(["1/100", "1/100", "1/100", "97/100"])
+    exact = float(exact_paradox_probability((10,), single, rule, AND2, value_mode="rational"))
+    trials = 20_000
+    est, _ = monte_carlo_estimate((10,), single, 10, rule, AND2, trials=trials, seed=0)
+    assert abs(est - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_monte_carlo_degenerate_point_mass():
