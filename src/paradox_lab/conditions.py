@@ -2,16 +2,19 @@
 
 Feasibility of an outcome vector at population size n is decided exactly: a
 boolean reachability grid over proposition-count vectors (built once per
-agenda and n) is intersected with the outcome's box of counts from
-:func:`~paradox_lab.aggregation.outcome_window`. Convex-hull sign-pattern
-feasibility is decided by an exact Phase-I simplex over the rationals, whose
+agenda, n and acceptance counts) is intersected with the outcome's box of
+counts from :func:`~paradox_lab.aggregation.outcome_window`. As a quota
+verdict only asks whether a count reaches its acceptance count, each axis of
+the grid stops there. Convex-hull sign-pattern feasibility is decided by an
+exact Phase-I simplex on integer threshold gaps, pivoted fraction-free, whose
 every answer is checked: a witness must reproduce its pattern and an
-infeasible pattern must come with a Farkas certificate. No solver and no
-floating point anywhere.
+infeasible pattern must come with an integer Farkas certificate. No solver
+and no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,6 +28,7 @@ from .model import Agenda, FractionalVote, QuotaRule
 from .aggregation import (
     OutcomeVector,
     _check_rule,
+    acceptance_count,
     inconsistent_outcomes,
     outcome_window,
     proposition_patterns,
@@ -121,35 +125,55 @@ def _remember(cache: dict, key: tuple, value) -> None:
 
 
 def reachable_counts(
-    agenda: Agenda, n: int, *, state_budget: int = DEFAULT_STATE_BUDGET
+    n: int,
+    rule: QuotaRule,
+    agenda: Agenda,
+    *,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> np.ndarray:
-    """Boolean grid over proposition-count vectors achievable by n votes.
+    """Boolean grid over proposition-count vectors achievable by n votes, capped.
 
-    Entry [s_1, ..., s_{p+1}] is True iff some integer histogram with total n
-    gives each proposition i exactly s_i supporting votes.
+    Axis i is capped at c_i = min(a_i, n), with a_i the
+    :func:`~paradox_lab.aggregation.acceptance_count` of proposition i: entry
+    [t_1, ..., t_{p+1}] is True iff some integer histogram with total n gives
+    each proposition i a support count s_i with min(s_i, c_i) = t_i. A quota
+    verdict only asks whether s_i >= a_i, so the
+    :func:`~paradox_lab.aggregation.outcome_window` of any outcome indexes
+    this grid as it would the full (n+1)^(p+1) one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cells = (n + 1) ** (agenda.p + 1)
+    _check_rule(rule, agenda)
+    caps = tuple(
+        min(acceptance_count(q, d, n), n) for q, d in zip(rule.thresholds, rule.breakings)
+    )
+    cells = math.prod(c + 1 for c in caps)
     if cells > state_budget:
         raise ResourceBudgetError(
             "feasibility grid too large", required=cells, budget=state_budget
         )
-    key = (agenda.p, agenda.truth_table, n)
+    key = (agenda.p, agenda.truth_table, n, caps)
     cached = _reach_cache.get(key)
     if cached is not None:
         return cached
     patterns = proposition_patterns(agenda)
-    # boxes share two full buffers, as an array per box size fragments the heap
-    dims = agenda.p + 1
-    buffers = [np.zeros(cells, dtype=bool) for _ in range(2)]
-    layer = np.ones((1,) * dims, dtype=bool)
-    for side in range(1, n + 1):
-        new = buffers[side % 2][: (side + 1) ** dims].reshape((side + 1,) * dims)
+    # every step writes into one of two reused buffers, as an array per step
+    # fragments the heap; a step's grid has one spare index c_i + 1 per axis
+    size = math.prod(min(c + 2, n + 1) for c in caps)
+    buffers = [np.zeros(size, dtype=bool) for _ in range(2)]
+    layer = np.ones((1,) * len(caps), dtype=bool)
+    for step in range(n):
+        shape = tuple(side + 1 for side in layer.shape)
+        new = buffers[step % 2][: math.prod(shape)].reshape(shape)
         new[...] = False
         for pat in patterns:
-            new[tuple(slice(c, c + side) for c in pat)] |= layer
-        layer = new
+            new[tuple(slice(c, c + side) for c, side in zip(pat, layer.shape))] |= layer
+        # saturation commutes with each +0/+1 step: fold c_i + 1 into c_i
+        for axis, cap in enumerate(caps):
+            if shape[axis] == cap + 2:
+                before = (slice(None),) * axis
+                new[before + (cap,)] |= new[before + (cap + 1,)]
+        layer = new[tuple(slice(0, c + 1) for c in caps)]
     _remember(_reach_cache, key, layer)
     return layer
 
@@ -170,7 +194,7 @@ def outcome_feasible(
     window = outcome_window(alpha, rule, n)
     if window is None:
         return False
-    grid = reachable_counts(agenda, n, state_budget=state_budget)
+    grid = reachable_counts(n, rule, agenda, state_budget=state_budget)
     return bool(grid[window].any())
 
 
@@ -210,79 +234,91 @@ _gaps_cache: dict[tuple[int, int, int], tuple] = {}
 
 def _member_gaps(
     dists: DistributionSet, rule: QuotaRule, agenda: Agenda
-) -> tuple[tuple[Fraction, ...], ...]:
-    """gaps[i][k] = q_{i+1} - support_{i+1}(member k), shared by a set's pattern LPs.
+) -> tuple[tuple[int, ...], ...]:
+    """gaps[i][k] = L_i * (q_{i+1} - support_{i+1}(member k)), as Python ints.
 
-    Cached by identity, as hashing every weight per LP costs a tenth of the gaps;
-    each entry holds its three objects, so no id is reused while it lives.
+    L_i > 0 is the LCD of row i, so every sign of gaps[i] . y is that of the
+    unscaled row. Shared by a set's pattern LPs and cached by identity, as
+    hashing every weight per LP costs a tenth of the gaps; each entry holds
+    its three objects, so no id is reused while it lives.
     """
     key = (id(dists), id(rule), id(agenda))
     if key not in _gaps_cache:
-        gaps = tuple(
-            tuple(q - support_probability(pi, i, agenda) for pi in dists.members)
-            for i, q in enumerate(rule.thresholds, start=1)
-        )
-        _remember(_gaps_cache, key, (dists, rule, agenda, gaps))
+        gaps = []
+        for i, q in enumerate(rule.thresholds, start=1):
+            row = [q - support_probability(pi, i, agenda) for pi in dists.members]
+            lcd = math.lcm(*(g.denominator for g in row))
+            gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
+        _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))
     return _gaps_cache[key][3]
 
 
 def _pattern_system(
-    beta: SignPattern, gaps: tuple[tuple[Fraction, ...], ...]
-) -> tuple[list[list[Fraction]], list[int]]:
+    beta: SignPattern, gaps: tuple[tuple[int, ...], ...]
+) -> tuple[list[list[int]], list[int]]:
     """Standard form A x = b, x = (y, t) >= 0, of the pattern on the weight cone.
 
     Strict rows ask -s * gap . y >= 1 through a surplus t; tied rows ask
     gap . y = 0. Signs are invariant under positive scaling of y, so unit
     slack is exact. The all-tied system admits y = 0, which is no
-    distribution, so it also asks sum(y) >= 1.
+    distribution, so it also asks sum(y) >= 1. A and b are Python ints.
     """
     rows = [[-s * g for g in gap] if s else list(gap) for s, gap in zip(beta, gaps)]
     b = [abs(s) for s in beta]
     if not any(beta):
-        rows.append([Fraction(1)] * len(gaps[0]))
+        rows.append([1] * len(gaps[0]))
         b.append(1)
     strict = [i for i, bi in enumerate(b) if bi]
-    return [row + [Fraction(-(i == r)) for r in strict] for i, row in enumerate(rows)], b
+    return [row + [-(i == r) for r in strict] for i, row in enumerate(rows)], b
 
 
 def _phase_one(
-    A: list[list[Fraction]], b: list[int]
-) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
-    """Exact Phase-I simplex on {x >= 0 : A x = b} with b >= 0, by Bland's rule.
+    A: list[list[int]], b: list[int]
+) -> tuple[Optional[list[Fraction]], Optional[list[int]]]:
+    """Exact Phase-I simplex on {x >= 0 : A x = b} over integer A and b >= 0.
 
-    Minimizes the sum of one artificial per row. Returns (x, None) with a
-    basic feasible x, or (None, pi) with the Farkas certificate
-    pi = 1 - (reduced cost of each artificial), so that pi . A_j <= 0 for
-    every column and pi . b > 0. Bland's rule (Bland 1977) cannot cycle.
+    Minimizes the sum of one artificial per row by Bland's rule (Bland 1977),
+    which cannot cycle, on a fraction-free tableau (Bareiss 1968): the
+    tableau and the cost row are det times their rational values, with
+    det > 0 the determinant of the current basis. A pivot P at (r, e)
+    updates every other row to (P * row - row[e] * T[r]) // det, exact by
+    Sylvester's identity, and then det = P. Returns (x, None) with a basic
+    feasible x, or (None, pi) with the integer Farkas certificate
+    pi = det - (scaled reduced cost of each artificial), so that
+    pi . A_j <= 0 for every column and pi . b > 0.
     """
     rows, cols = len(A), len(A[0])
-    tableau = [row + [Fraction(i == r) for r in range(rows)] + [Fraction(bi)]
+    tableau = [row + [int(i == r) for r in range(rows)] + [bi]
                for i, (row, bi) in enumerate(zip(A, b))]
     basis = [cols + i for i in range(rows)]
     # reduced costs of the artificials' sum; the last entry is minus its value
-    cost = [-sum(row[j] for row in tableau) for j in range(cols)]
-    cost += [Fraction(0)] * rows + [Fraction(-sum(b))]
+    cost = [-sum(row[j] for row in tableau) for j in range(cols)] + [0] * rows + [-sum(b)]
+    det = 1
     while True:
         enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if enter is None:
             break
-        _, _, leave = min(
-            (row[-1] / row[enter], basis[i], i)
-            for i, row in enumerate(tableau)
-            if row[enter] > 0
-        )
+        leave = None
+        for i, row in enumerate(tableau):
+            if row[enter] <= 0:
+                continue
+            # least row[-1] / row[enter], cross-multiplied; ties to the lower basis
+            if leave is None or (row[-1] * tableau[leave][enter], basis[i]) < (
+                tableau[leave][-1] * row[enter], basis[leave]
+            ):
+                leave = i
         pivot = tableau[leave]
         scale = pivot[enter]
-        pivot[:] = [v / scale for v in pivot]
         for row in tableau + [cost]:
-            factor = row[enter]
-            if row is not pivot and factor:
-                row[:] = [v - factor * w if w else v for v, w in zip(row, pivot)]
+            if row is not pivot:
+                factor = row[enter]
+                row[:] = [(scale * v - factor * w) // det for v, w in zip(row, pivot)]
+        det = scale
         basis[leave] = enter
     if cost[-1]:
-        return None, [1 - cost[cols + i] for i in range(rows)]
+        return None, [det - cost[cols + i] for i in range(rows)]
     value = {j: row[-1] for j, row in zip(basis, tableau)}
-    return [value.get(j, Fraction(0)) for j in range(cols)], None
+    return [Fraction(value.get(j, 0), det) for j in range(cols)], None
 
 
 def _check_pattern(beta: Sequence[int], agenda: Agenda) -> SignPattern:

@@ -12,10 +12,11 @@ denominator of its weights, and the common denominator prod_k D_k^(c_k) is
 applied once at the end. The float engines run the same kernel in float64 when
 every nonzero product of n weights provably stays far inside float64's normal
 range, and in longdouble otherwise (see :func:`_float_dtype`). Every float
-result is checked against the forward-error bound of its nonnegative
-multiply-add chain (see :func:`_check_error_bound`). The adversarial sup/inf
-ranges over count multisets; in every value mode one two-block chain gives
-each assignment's probability (see :func:`_exact_assignment_probabilities`).
+result is checked, as the float64 value returned, against the forward-error
+bound of its nonnegative multiply-add chain (see :func:`_check_error_bound`).
+The adversarial sup/inf ranges over count multisets; in every value mode one
+two-block chain gives each assignment's probability (see
+:func:`_exact_assignment_probabilities`).
 """
 
 from __future__ import annotations
@@ -180,28 +181,48 @@ def _float_dtype(dists: DistributionSet, n: int) -> type:
 
 
 def _error_bound(dtype: type, n: int, p: int) -> float:
-    """gamma_N = N*u / (1 - N*u), u = eps(dtype)/2, N = n*(2^p + 4) + (n+1)^(p+1).
+    """Relative error bound of a returned float probability.
 
+    gamma_N = N*u / (1 - N*u), u = eps(dtype)/2, N = n*(2^p + 4) + (n+1)^(p+1).
     Every term of a chain probability is a product over n one-agent steps.
     Each step rounds the weight (numerator, denominator, quotient), the
     multiply and at most 2^p adds into the cell; the final multiply by the
     absorption grid and the sum over at most (n+1)^(p+1) cells add at most
     that many roundings more. All terms are nonnegative, so the computed
-    probability is within a relative gamma_N of the exact one.
+    probability is within a relative gamma_N of the exact one. A longdouble
+    result is then rounded once to float64, a relative 2^-53 more in
+    float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N) in all.
     """
     steps = n * ((1 << p) + 4) + (n + 1) ** (p + 1)
     unit = steps * float(np.finfo(dtype).eps) / 2
-    return unit / (1 - unit)
+    gamma = unit / (1 - unit)
+    if dtype is np.float64:
+        return gamma
+    return gamma + float(np.finfo(np.float64).eps) / 2 * (1 + gamma)
 
 
-def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> None:
-    """Raise FloatingPointError unless every probability lies in [0, 1 + gamma_N]."""
+def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> np.ndarray:
+    """The probabilities as returned, in float64, checked against :func:`_error_bound`.
+
+    Raise FloatingPointError unless every float64 value lies in
+    [0, 1 + bound], and unless every positive probability stays in float64's
+    normal range, where the relative bound holds: a longdouble chain can go
+    below it, and a positive probability must not come back as 0.0.
+    """
+    out = np.asarray(probs, dtype=np.float64)
     bound = 1 + _error_bound(dtype, n, p)
-    if not np.all((probs >= 0) & (probs <= bound)):
+    if not np.all((out >= 0) & (out <= bound)):
         raise FloatingPointError(
             f"float probabilities outside [0, 1 + {bound - 1:.3g}]: "
-            f"min {probs.min()!r}, max {probs.max()!r}"
+            f"min {out.min()!r}, max {out.max()!r}"
         )
+    lost = (probs > 0) & (out < np.finfo(np.float64).tiny)
+    if np.any(lost):
+        raise FloatingPointError(
+            f"{np.count_nonzero(lost)} positive probabilities fall below float64's "
+            f"normal range; use value_mode='rational'"
+        )
+    return out
 
 
 def _grid_step(
@@ -278,8 +299,7 @@ def exact_paradox_probability(
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
     if exact:
         return Fraction(int(mass), denominator)
-    _check_error_bound(mass, dtype, n, p)
-    return float(mass)
+    return float(_check_error_bound(mass, dtype, n, p))
 
 
 def histogram_distribution(
@@ -494,7 +514,7 @@ def _exact_assignment_probabilities(
             weights[0], weights[1], split_total, rule, agenda, n, prefix_grid, state_budget
         )
         if not exact:
-            _check_error_bound(probs, dtype, n, agenda.p)
+            probs = _check_error_bound(probs, dtype, n, agenda.p)
         for k, prob in enumerate(probs):
             counts = (k, split_total - k) + lead
             if exact:

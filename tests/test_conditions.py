@@ -26,7 +26,7 @@ from paradox_lab import (
 )
 from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
-from paradox_lab.aggregation import proposition_patterns
+from paradox_lab.aggregation import acceptance_count, proposition_patterns
 from conftest import (
     INSTANCE_DIR,
     brute_force_outcomes,
@@ -103,9 +103,25 @@ def test_outcome_feasible_examples():
 
 def test_outcome_feasible_matches_enumeration():
     rng = random.Random(17)
-    for _ in range(12):
-        agenda, rule, _ = random_instance(rng)
-        n = rng.randint(1, 5)
+    cases = [random_instance(rng)[:2] + (rng.randint(1, 5),) for _ in range(12)]
+    # thresholds 0 and 1 under both breakings give acceptance counts 0, 1, n
+    # and n + 1, so the grid's caps run from 0 to a full axis
+    edges = list(product((0, 1), repeat=2))
+    for p, n in ((1, 8), (2, 7), (3, 6)):
+        for q, d in edges:
+            agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+            rule = random_rule(rng, p + 1)
+            thresholds, breakings = list(rule.thresholds), list(rule.breakings)
+            i = rng.randrange(p + 1)
+            thresholds[i], breakings[i] = Fraction(q), d
+            cases.append((agenda, QuotaRule(tuple(thresholds), tuple(breakings)), n))
+    # p = 3 at n = 8: one random rule, and the four edges on the four propositions
+    majority3 = Agenda(3, (0, 0, 0, 1, 0, 1, 1, 1))
+    cases.append((majority3, random_rule(rng, 4), 8))
+    rng.shuffle(edges)
+    cases.append((majority3, QuotaRule(tuple(Fraction(q) for q, _ in edges),
+                                       tuple(d for _, d in edges)), 8))
+    for agenda, rule, n in cases:
         achieved = brute_force_outcomes(n, rule, agenda)
         for alpha in product((0, 1), repeat=agenda.p + 1):
             assert outcome_feasible(alpha, n, rule, agenda) == (alpha in achieved)
@@ -209,14 +225,21 @@ def test_lp_three_member_hull():
 def test_simplex_answers_verify_on_random_sets():
     # every pattern of p <= 3 sets with 2-10 strictly positive members gets
     # either a feasible point that reproduces the pattern or a Farkas vector
+    # of the integer system
     rng = random.Random(61)
     feasible = infeasible = 0
-    for p in (1, 2, 2, 3, 3, 3):
+    for p, big in ((1, False), (2, False), (2, False), (3, False), (3, False),
+                   (3, False), (2, True), (3, True)):
         for members in (2, 5, 10):
             m = 1 << p
             agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(m)))
             rule = random_rule(rng, p + 1)
             dists = random_positive_members(rng, m, members)
+            if big:
+                # denominators above 2^64, so the pivots divide big ints
+                dens = [2**64 + rng.randint(1, 2**40) for _ in range(p + 1)]
+                rule = QuotaRule(tuple(Fraction(rng.randint(1, den - 1), den)
+                                       for den in dens), rule.breakings)
             gaps = conditions._member_gaps(dists, rule, agenda)
             for beta in product((1, 0, -1), repeat=p + 1):
                 A, b = conditions._pattern_system(beta, gaps)
@@ -248,36 +271,51 @@ def test_kappa_on_ten_member_three_premise_sets():
         )
 
 
+def _caps(rule: QuotaRule, n: int) -> tuple[int, ...]:
+    return tuple(min(acceptance_count(q, d, n), n)
+                 for q, d in zip(rule.thresholds, rule.breakings))
+
+
 def test_reachable_counts_match_histogram_enumeration():
+    # the capped grid is the image of every histogram's counts under min(s_i, c_i)
     rng = random.Random(73)
     for p in (1, 2, 3):
         for _ in range(3):
             agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
             patterns = proposition_patterns(agenda)
             for n in range(1, 9):
-                expected = np.zeros((n + 1,) * (p + 1), dtype=bool)
+                rule = random_rule(rng, p + 1)
+                caps = _caps(rule, n)
+                expected = np.zeros(tuple(c + 1 for c in caps), dtype=bool)
                 for hist in enumerate_histograms(n, agenda.m):
-                    counts = tuple(sum(h * pat[i] for h, pat in zip(hist, patterns))
-                                   for i in range(p + 1))
+                    counts = tuple(
+                        min(sum(h * pat[i] for h, pat in zip(hist, patterns)), caps[i])
+                        for i in range(p + 1)
+                    )
                     expected[counts] = True
-                assert np.array_equal(reachable_counts(agenda, n), expected)
+                assert np.array_equal(reachable_counts(n, rule, agenda), expected)
+
+
+# caps (4, 3, 3, 2) at n = 8: 5 * 4 * 4 * 3 = 240 cells
+CAPPED_RULE = QuotaRule.of(["1/2", "1/3", "1/4", "1/5"], (1, 1, 0, 0))
 
 
 def test_reachable_counts_budget_boundary(monkeypatch):
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
+    assert _caps(CAPPED_RULE, 8) == (4, 3, 3, 2)
     with pytest.raises(ResourceBudgetError):
-        reachable_counts(agenda, 8, state_budget=9**4 - 1)
-    assert reachable_counts(agenda, 8, state_budget=9**4).shape == (9,) * 4
+        reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (5, 4, 4, 3)
 
 
 def test_reachable_counts_charges_budget_before_cache(monkeypatch):
     # a grid built under a large enough budget is not handed out under a smaller one
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
-    assert reachable_counts(agenda, 8, state_budget=9**4).shape == (9,) * 4
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (5, 4, 4, 3)
     with pytest.raises(ResourceBudgetError):
-        reachable_counts(agenda, 8, state_budget=9**4 - 1)
+        reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
     assert len(conditions._reach_cache) == 1
 
 

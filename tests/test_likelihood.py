@@ -378,6 +378,33 @@ def test_tiny_weight_runs_longdouble_and_matches_rational():
     assert fast.max_witness == slow.max_witness
 
 
+def test_longdouble_results_checked_as_returned_float64():
+    # a longdouble chain whose results are rounded to float64: (7, 1) and
+    # (8, 0) are positive but below 2^-1074, and the other assignments carry
+    # the rounding to float64 on top of gamma_N
+    tiny = Fraction(1, 2**460)
+    dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
+    n = 8
+    assert _float_dtype(dists, n) is np.longdouble
+    bound = Fraction(_error_bound(np.longdouble, n, MIRROR.p))
+    for k in range(n + 1):
+        counts = (k, n - k)
+        exact = exact_paradox_probability(counts, dists, MIRROR_RULE, MIRROR,
+                                          value_mode="rational")
+        assert exact > 0
+        if k >= 7:
+            with pytest.raises(FloatingPointError):
+                exact_paradox_probability(counts, dists, MIRROR_RULE, MIRROR,
+                                          value_mode="float")
+        else:
+            prob = exact_paradox_probability(counts, dists, MIRROR_RULE, MIRROR,
+                                             value_mode="float")
+            assert abs(Fraction(prob) - exact) <= bound * exact, (counts, prob, exact)
+    with pytest.raises(FloatingPointError):
+        _exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR, "float",
+                                        DEFAULT_STATE_BUDGET)
+
+
 def test_monte_carlo_reproducible_and_calibrated():
     exact = exact_paradox_probability((2, 0), THETA1, MAJ, AND2, value_mode="rational")
     est1, se1 = monte_carlo_estimate((2, 0), THETA1, 2, MAJ, AND2, trials=50_000, seed=123)
