@@ -1,18 +1,24 @@
-"""Quota-rule evaluation, outcome consistency, and paradox detection.
+"""Quota-rule evaluation, outcome consistency, paradox detection, and count space.
 
-Everything here is a pure function of exact rational inputs; the verdict on a
-proposition depends only on its support count and the total weight. On an
+Every verdict here is a pure function of exact rational inputs; the verdict
+on a proposition depends only on its support count and the total weight. On an
 integer count out of n votes the verdict is 1 iff the count reaches
 :func:`acceptance_count`; :func:`outcome_window` turns an outcome vector into
 the box of count vectors that give it. Every integer-count verdict in the
 package goes through these two; :func:`count_verdict` is the reference for
 fractional histograms.
+
+Every count grid of the package stops axis i at the cap c_i of
+:func:`count_caps`, its index c_i holding every count of at least c_i, and
+grows by the one-agent step :func:`_grid_step`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionError
 from .model import (
@@ -92,6 +98,44 @@ def outcome_window(
             return None
         window.append(slice(lo, hi))
     return tuple(window)
+
+
+def count_caps(rule: QuotaRule, n: int) -> tuple[int, ...]:
+    """Caps c_i = min(a_i, n) of the count grids at n votes, a_i the :func:`acceptance_count`.
+
+    Counts of at least c_i share one verdict, so an :func:`outcome_window`
+    indexes a capped grid as it would the full (n+1)^(p+1) one.
+    """
+    return tuple(min(acceptance_count(q, d, n), n)
+                 for q, d in zip(rule.thresholds, rule.breakings))
+
+
+def _grid_step(
+    grid: np.ndarray,
+    weights: Sequence,
+    patterns: Sequence[tuple[int, ...]],
+    caps: Sequence[int],
+) -> np.ndarray:
+    """One-agent convolution on a capped count grid: shift-add over the vote patterns.
+
+    Entry t of the result sums w * grid[s] over entries s and patterns with
+    min(s + pattern, caps) = t: the shifts fill one spare index per axis,
+    which is folded into c_i, as saturation commutes with each +0/+1 step.
+    On bool grids with True weights ``+=`` is OR: the reachable counts.
+    """
+    shape = tuple(side + 1 for side in grid.shape)
+    new = np.zeros(shape, dtype=grid.dtype)
+    for w, pat in zip(weights, patterns):
+        if w == 0:
+            continue
+        dst = tuple(slice(c, c + side) for c, side in zip(pat, grid.shape))
+        # 1 * x is exact in every dtype, and skipping it spares a temporary
+        new[dst] += grid if w == 1 else w * grid
+    for axis, cap in enumerate(caps):
+        if shape[axis] == cap + 2:
+            before = (slice(None),) * axis
+            new[before + (cap,)] += new[before + (cap + 1,)]
+    return new[tuple(slice(0, c + 1) for c in caps)]
 
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:

@@ -1,9 +1,7 @@
 """Command-line surface: condition checks, extremes, sweeps, fits, region dumps.
 
-Exit codes: 0 success, 2 validation error, 3 resource budget exceeded,
-4 fit failure. Sweep rows may be computed concurrently when the
-PARADOX_LAB_THREADS environment variable is set above 1; output order is
-deterministic either way.
+Exit codes: 0 success, 2 validation error or a float result that fails its
+error check, 3 resource budget exceeded, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -182,10 +178,8 @@ def _sweep_values(options: dict) -> list[int]:
 
 
 def _cmd_sweep(instance: Instance, options: dict) -> SweepResult:
-    values = _sweep_values(options)
-    mode = options.get("mode", "exact")
-
-    def one(n: int) -> SweepRow:
+    rows = []
+    for n in _sweep_values(options):
         # each row gets its own stream family so estimates are independent
         # across n while staying a pure function of (seed, n)
         row_seed = int(
@@ -193,22 +187,15 @@ def _cmd_sweep(instance: Instance, options: dict) -> SweepResult:
         )
         extremes = smoothed_extremes(
             instance.distributions, n, instance.rule, instance.agenda,
-            mode=mode,
+            mode=options.get("mode", "exact"),
             trials=options["trials"],
             seed=row_seed,
             value_mode=options.get("value_mode", "auto"),
             assignment_budget=options["budget_assignments"],
             state_budget=options["budget_states"],
         )
-        return _row_from_extremes(extremes)
-
-    threads = options.get("threads") or 1
-    if threads > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one, values))
-    else:
-        rows = tuple(one(n) for n in values)
-    return SweepResult(rows)
+        rows.append(_row_from_extremes(extremes))
+    return SweepResult(tuple(rows))
 
 
 def _cmd_fit(options: dict) -> dict:
@@ -261,14 +248,6 @@ def run_command(command: str, instance: Optional[Instance], options: dict):
     if command == "polyhedra":
         return _cmd_polyhedra(instance)
     raise ValidationError("command", f"unknown command {command!r}")
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("PARADOX_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +321,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 options.pop("instance"),
                 require_strictly_positive=(command == "check"),
             )
-        options["threads"] = _env_threads()
         result = run_command(command, instance, options)
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
@@ -352,6 +330,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FIT
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"numeric error: {exc}; rerun with --value-mode rational", file=sys.stderr)
         return EXIT_VALIDATION
 
     if isinstance(result, SweepResult):

@@ -3,13 +3,14 @@
 Feasibility of an outcome vector at population size n is decided exactly: a
 boolean reachability grid over proposition-count vectors (built once per
 agenda, n and acceptance counts) is intersected with the outcome's box of
-counts from :func:`~paradox_lab.aggregation.outcome_window`. As a quota
-verdict only asks whether a count reaches its acceptance count, each axis of
-the grid stops there. Convex-hull sign-pattern feasibility is decided by an
-exact Phase-I simplex on integer threshold gaps, pivoted fraction-free, whose
-every answer is checked: a witness must reproduce its pattern and an
-infeasible pattern must come with an integer Farkas certificate. No solver
-and no floating point anywhere.
+counts from :func:`~paradox_lab.aggregation.outcome_window`. The grid is the
+capped count grid of :mod:`~paradox_lab.aggregation`, each axis stopping at
+its acceptance count, grown one vote at a time by the same one-agent step as
+the probability convolution, with True weights. Convex-hull sign-pattern
+feasibility is decided by an exact Phase-I simplex on integer threshold gaps,
+pivoted fraction-free, whose every answer is checked: a witness must
+reproduce its pattern and an infeasible pattern must come with an integer
+Farkas certificate. No solver and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .model import Agenda, FractionalVote, QuotaRule
 from .aggregation import (
     OutcomeVector,
     _check_rule,
-    acceptance_count,
+    _grid_step,
+    count_caps,
     inconsistent_outcomes,
     outcome_window,
     proposition_patterns,
@@ -133,20 +135,14 @@ def reachable_counts(
 ) -> np.ndarray:
     """Boolean grid over proposition-count vectors achievable by n votes, capped.
 
-    Axis i is capped at c_i = min(a_i, n), with a_i the
-    :func:`~paradox_lab.aggregation.acceptance_count` of proposition i: entry
-    [t_1, ..., t_{p+1}] is True iff some integer histogram with total n gives
-    each proposition i a support count s_i with min(s_i, c_i) = t_i. A quota
-    verdict only asks whether s_i >= a_i, so the
-    :func:`~paradox_lab.aggregation.outcome_window` of any outcome indexes
-    this grid as it would the full (n+1)^(p+1) one.
+    Axis i stops at c_i of :func:`~paradox_lab.aggregation.count_caps`:
+    entry [t_1, ..., t_{p+1}] is True iff some integer histogram with total n
+    gives each proposition i a support count s_i with min(s_i, c_i) = t_i.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_rule(rule, agenda)
-    caps = tuple(
-        min(acceptance_count(q, d, n), n) for q, d in zip(rule.thresholds, rule.breakings)
-    )
+    caps = count_caps(rule, n)
     cells = math.prod(c + 1 for c in caps)
     if cells > state_budget:
         raise ResourceBudgetError(
@@ -157,23 +153,9 @@ def reachable_counts(
     if cached is not None:
         return cached
     patterns = proposition_patterns(agenda)
-    # every step writes into one of two reused buffers, as an array per step
-    # fragments the heap; a step's grid has one spare index c_i + 1 per axis
-    size = math.prod(min(c + 2, n + 1) for c in caps)
-    buffers = [np.zeros(size, dtype=bool) for _ in range(2)]
     layer = np.ones((1,) * len(caps), dtype=bool)
-    for step in range(n):
-        shape = tuple(side + 1 for side in layer.shape)
-        new = buffers[step % 2][: math.prod(shape)].reshape(shape)
-        new[...] = False
-        for pat in patterns:
-            new[tuple(slice(c, c + side) for c, side in zip(pat, layer.shape))] |= layer
-        # saturation commutes with each +0/+1 step: fold c_i + 1 into c_i
-        for axis, cap in enumerate(caps):
-            if shape[axis] == cap + 2:
-                before = (slice(None),) * axis
-                new[before + (cap,)] |= new[before + (cap + 1,)]
-        layer = new[tuple(slice(0, c + 1) for c in caps)]
+    for _ in range(n):
+        layer = _grid_step(layer, (True,) * agenda.m, patterns, caps)
     _remember(_reach_cache, key, layer)
     return layer
 

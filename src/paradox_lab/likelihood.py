@@ -2,16 +2,20 @@
 
 Because quota rules are anonymous and agents sample independently, the
 probability depends on a distribution assignment only through its counts, and
-on a profile only through its per-proposition support counts. Exact
-probabilities therefore convolve one agent at a time over the grid of
-support-count vectors. Each grid holds just the vectors reachable so far: it
-starts as the single zero vector and grows by one side per agent, up to
-(n+1)^(p+1) cells. The rational engine runs that kernel on Python-int
-numerators: member k's weights become integers over D_k, the least common
-denominator of its weights, and the common denominator prod_k D_k^(c_k) is
-applied once at the end. The float engines run the same kernel in float64 when
-every nonzero product of n weights provably stays far inside float64's normal
-range, and in longdouble otherwise (see :func:`_float_dtype`). Every float
+on a profile only through its per-proposition support counts, and on each
+count only through whether it reaches its acceptance count. Exact
+probabilities therefore convolve one agent at a time, by
+:func:`~paradox_lab.aggregation._grid_step`, over the capped grid of
+support-count vectors, whose axis i stops at c_i = min(a_i, n) of
+:func:`~paradox_lab.aggregation.count_caps`. Each grid holds just the vectors
+reachable so far: it starts as the single zero vector and grows by one index
+per axis and agent, up to prod_i (c_i + 1) cells. The rational engine runs
+that kernel on Python-int numerators: member k's weights become integers over
+D_k, the least common denominator of its weights, and the common denominator
+prod_k D_k^(c_k) is applied once at the end. The float engines run the same
+kernel in float64 when every nonzero product of n weights provably stays far
+inside float64's normal range, and in longdouble otherwise (see
+:func:`_float_dtype`). Every float
 result is checked, as the float64 value returned, against the forward-error
 bound of its nonnegative multiply-add chain (see :func:`_check_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
@@ -33,7 +37,9 @@ from .errors import DimensionError, ResourceBudgetError
 from .model import Agenda, QuotaRule
 from .aggregation import (
     _check_rule,
+    _grid_step,
     acceptance_count,
+    count_caps,
     inconsistent_outcomes,
     outcome_window,
     proposition_patterns,
@@ -140,8 +146,8 @@ def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> No
 
 
 def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
-    """Boolean grid over count vectors marking inconsistent quota outcomes at total n."""
-    indicator = np.zeros((n + 1,) * (agenda.p + 1), dtype=bool)
+    """Boolean capped count grid marking inconsistent quota outcomes at total n."""
+    indicator = np.zeros(tuple(c + 1 for c in count_caps(rule, n)), dtype=bool)
     for alpha in inconsistent_outcomes(agenda):
         window = outcome_window(alpha, rule, n)
         if window is not None:
@@ -183,17 +189,19 @@ def _float_dtype(dists: DistributionSet, n: int) -> type:
 def _error_bound(dtype: type, n: int, p: int) -> float:
     """Relative error bound of a returned float probability.
 
-    gamma_N = N*u / (1 - N*u), u = eps(dtype)/2, N = n*(2^p + 4) + (n+1)^(p+1).
-    Every term of a chain probability is a product over n one-agent steps.
-    Each step rounds the weight (numerator, denominator, quotient), the
-    multiply and at most 2^p adds into the cell; the final multiply by the
-    absorption grid and the sum over at most (n+1)^(p+1) cells add at most
-    that many roundings more. All terms are nonnegative, so the computed
-    probability is within a relative gamma_N of the exact one. A longdouble
-    result is then rounded once to float64, a relative 2^-53 more in
-    float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N) in all.
+    gamma_N = N*u / (1 - N*u), u = eps(dtype)/2,
+    N = n*(2^p + p + 5) + (n+1)^(p+1). Every term of a chain probability is a
+    product over n one-agent steps. Each step rounds the weight (numerator,
+    denominator, quotient), the multiply, at most 2^p adds into the cell and
+    at most p+1 adds that fold a saturated index into its cap; the final
+    multiply by the absorption grid and the sum over at most (n+1)^(p+1)
+    cells add at most that many roundings more. All terms are nonnegative,
+    so the computed probability is within a relative gamma_N of the exact
+    one. A longdouble result is then rounded once to float64, a relative
+    2^-53 more in float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N)
+    in all.
     """
-    steps = n * ((1 << p) + 4) + (n + 1) ** (p + 1)
+    steps = n * ((1 << p) + p + 5) + (n + 1) ** (p + 1)
     unit = steps * float(np.finfo(dtype).eps) / 2
     gamma = unit / (1 - unit)
     if dtype is np.float64:
@@ -225,29 +233,6 @@ def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> np.nda
     return out
 
 
-def _grid_step(
-    grid: np.ndarray,
-    weights: Sequence,
-    patterns: Sequence[tuple[int, ...]],
-    n: int,
-) -> np.ndarray:
-    """One-agent convolution: shift-and-add over the vote patterns.
-
-    A grid of side s holds every count vector reachable so far; the result
-    has side min(s + 1, n + 1), the vectors reachable after one more agent.
-    """
-    side = grid.shape[0]
-    hi = min(side + 1, n + 1)
-    new = np.zeros((hi,) * grid.ndim, dtype=grid.dtype)
-    for w, pat in zip(weights, patterns):
-        if w == 0:
-            continue
-        dst = tuple(slice(c, min(c + side, hi)) for c in pat)
-        src = tuple(slice(0, min(side, hi - c)) for c in pat)
-        new[dst] += w * grid[src]
-    return new
-
-
 def exact_paradox_probability(
     assignment: Union[Assignment, Sequence[int]],
     dists: DistributionSet,
@@ -260,7 +245,8 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    Both engines convolve over the (n+1)^(p+1) count grid, which
+    Both engines convolve over the capped count grid of prod_i (c_i + 1)
+    cells, c = :func:`~paradox_lab.aggregation.count_caps`, which
     ``state_budget`` caps. ``value_mode='rational'`` runs it on integer
     numerators and returns an exact fraction; ``'float'`` runs it in the
     dtype :func:`_float_dtype` picks and checks the result against
@@ -278,7 +264,8 @@ def exact_paradox_probability(
         )
     n = assignment.n
     p = agenda.p
-    cells = (n + 1) ** (p + 1)
+    caps = count_caps(rule, n)
+    cells = math.prod(c + 1 for c in caps)
     if cells > state_budget:
         raise ResourceBudgetError(
             "probability grid too large", required=cells, budget=state_budget
@@ -295,7 +282,7 @@ def exact_paradox_probability(
     grid = np.ones((1,) * (p + 1), dtype=dtype)
     for member_weights, count in zip(weights, assignment.counts):
         for _ in range(count):
-            grid = _grid_step(grid, member_weights, patterns, n)
+            grid = _grid_step(grid, member_weights, patterns, caps)
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
     if exact:
         return Fraction(int(mass), denominator)
@@ -422,20 +409,20 @@ def _two_block_probabilities(
 
     One stored forward chain for member_a meets one backward absorption chain
     for member_b, so all split_total + 1 assignments cost O(m * n^(p+2))
-    together instead of per assignment. ``prefix_grid`` is the count grid of
-    the prefix's agents, of side prefix + 1. Forward grid k has side
-    min(prefix + k + 1, n_total + 1), and the absorption grid that meets it
-    has the same side, so the stored forward chain and the backward sweep
-    both cover sum_k min(prefix + k + 1, n_total + 1)^(p+1) cells. Everything
-    runs in the prefix grid's dtype, the weights' type: on integer numerators
-    entry k is the numerator over D_a^k * D_b^(split_total - k) * D_prefix.
+    together instead of per assignment. All grids are capped at
+    c = :func:`~paradox_lab.aggregation.count_caps` of n_total.
+    ``prefix_grid`` is the count grid of the prefix's agents, of side s_i on
+    axis i. Forward grid k has side min(s_i - 1 + k, c_i) + 1 on axis i, and
+    the absorption grid that meets it has the same shape, so the stored
+    forward chain and the backward sweep both cover
+    sum_k prod_i (min(s_i - 1 + k, c_i) + 1) cells. Everything runs in the
+    prefix grid's dtype, the weights' type: on integer numerators entry k is
+    the numerator over D_a^k * D_b^(split_total - k) * D_prefix.
     """
-    p = agenda.p
     dtype = prefix_grid.dtype
-    prefix_support = prefix_grid.shape[0] - 1
-    # the last forward grid has the full side n_total + 1
+    caps = count_caps(rule, n_total)
     chain_entries = sum(
-        min(prefix_support + k + 1, n_total + 1) ** (p + 1)
+        math.prod(min(s - 1 + k, c) + 1 for s, c in zip(prefix_grid.shape, caps))
         for k in range(split_total + 1)
     )
     if chain_entries > state_budget:
@@ -446,7 +433,7 @@ def _two_block_probabilities(
 
     forward = [prefix_grid]
     for _ in range(split_total):
-        forward.append(_grid_step(forward[-1], weights_a, patterns, n_total))
+        forward.append(_grid_step(forward[-1], weights_a, patterns, caps))
 
     absorb = _paradox_indicator(rule, agenda, n_total).astype(dtype)
     probs = np.zeros(split_total + 1, dtype=dtype)
@@ -454,15 +441,16 @@ def _two_block_probabilities(
         probs[k] = (forward[k] * absorb).sum()
         if k:
             # absorb one more member_b agent on forward[k - 1]'s box:
-            # W(s) <- sum_w w * W(s + pattern)
-            side, hi = absorb.shape[0], forward[k - 1].shape[0]
-            new = np.zeros((hi,) * (p + 1), dtype=dtype)
+            # W(t) <- sum_w w * W(min(t + pattern, c)). An axis on which the
+            # box does not shrink is saturated, and its edge copy is W at c.
+            box = forward[k - 1].shape
+            edges = [(0, int(b == a)) for b, a in zip(box, absorb.shape)]
+            padded = np.pad(absorb, edges, mode="edge")
+            new = np.zeros(box, dtype=dtype)
             for w, pat in zip(weights_b, patterns):
                 if w == 0:
                     continue
-                dst = tuple(slice(0, min(hi, side - c)) for c in pat)
-                src = tuple(slice(c, c + min(hi, side - c)) for c in pat)
-                new[dst] += w * absorb[src]
+                new += w * padded[tuple(slice(c, c + b) for c, b in zip(pat, box))]
             absorb = new
     return probs
 
@@ -503,13 +491,14 @@ def _exact_assignment_probabilities(
     weights = numerators if exact else _member_weights(dists, dtype)[0]
 
     patterns = proposition_patterns(agenda)
+    caps = count_caps(rule, n)
     results: list[tuple[tuple[int, ...], Union[Fraction, float]]] = []
     for lead in compositions_upto(n, dists.size - 2):
         split_total = n - sum(lead)
         prefix_grid = np.ones((1,) * (agenda.p + 1), dtype=dtype)
         for member_weights, count in zip(weights[2:], lead):
             for _ in range(count):
-                prefix_grid = _grid_step(prefix_grid, member_weights, patterns, n)
+                prefix_grid = _grid_step(prefix_grid, member_weights, patterns, caps)
         probs = _two_block_probabilities(
             weights[0], weights[1], split_total, rule, agenda, n, prefix_grid, state_budget
         )
@@ -547,7 +536,7 @@ def smoothed_extremes(
     _check_inputs(dists, rule, agenda)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mode not in ("exact", "mc", "monte_carlo"):
+    if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     ell = dists.size
     total_assignments = math.comb(n + ell - 1, ell - 1)
@@ -581,10 +570,9 @@ def smoothed_extremes(
     min_counts, _, min_se = min(
         (entry for entry in evaluated if entry[1] == min_prob), key=lambda e: e[0]
     )
-    label = "exact" if mode == "exact" else "mc"
     return SmoothedExtremes(
         n=n,
-        mode=label,
+        mode=mode,
         max_probability=max_prob,
         max_witness=Assignment(max_counts),
         max_stderr=max_se,

@@ -23,6 +23,9 @@ from paradox_lab import (
 
 INSTANCE_DIR = Path(__file__).parent / "instances"
 
+# caps (4, 3, 3, 2) at n = 8, one per axis of a p = 3 count grid
+CAPPED_RULE = QuotaRule.of(["1/2", "1/3", "1/4", "1/5"], (1, 1, 0, 0))
+
 
 @pytest.fixture(scope="session")
 def theta1_instance() -> Instance:

@@ -28,6 +28,7 @@ from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
 from paradox_lab.aggregation import acceptance_count, proposition_patterns
 from conftest import (
+    CAPPED_RULE,
     INSTANCE_DIR,
     brute_force_outcomes,
     enumerate_histograms,
@@ -296,11 +297,8 @@ def test_reachable_counts_match_histogram_enumeration():
                 assert np.array_equal(reachable_counts(n, rule, agenda), expected)
 
 
-# caps (4, 3, 3, 2) at n = 8: 5 * 4 * 4 * 3 = 240 cells
-CAPPED_RULE = QuotaRule.of(["1/2", "1/3", "1/4", "1/5"], (1, 1, 0, 0))
-
-
 def test_reachable_counts_budget_boundary(monkeypatch):
+    # caps (4, 3, 3, 2) at n = 8: 5 * 4 * 4 * 3 = 240 cells
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
     assert _caps(CAPPED_RULE, 8) == (4, 3, 3, 2)

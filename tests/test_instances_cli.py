@@ -245,17 +245,21 @@ def test_cli_sweep_mc_reproducible(tmp_path):
     assert "mc" in out_a.read_text()
 
 
-def test_cli_sweep_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    argv = [
-        "sweep", "--instance", _golden("conjunction_expsmall.json"),
-        "--n-from", "4", "--n-to", "12", "--step", "4", "--mode", "exact",
-    ]
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.delenv("PARADOX_LAB_THREADS", raising=False)
-    assert main(argv + ["--output", str(out_a)]) == 0
-    monkeypatch.setenv("PARADOX_LAB_THREADS", "3")
-    assert main(argv + ["--output", str(out_b)]) == 0
-    assert out_a.read_text() == out_b.read_text()
+def test_cli_numeric_error_exit_code(tmp_path, capsys):
+    # at n = 12 the probability of (12, 0), about 924 * 2^-2760, is positive but
+    # below float64's range, so the longdouble chain fails its error check
+    data = json.loads((INSTANCE_DIR / "single_premise_mirror.json").read_text())
+    tiny = Fraction(1, 2**460)
+    data["distributions"] = [[str(1 - tiny), str(tiny)], ["3/10", "7/10"]]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    argv = ["exact", "--instance", str(path), "--n", "12"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "--value-mode rational" in err
+    assert main(argv + ["--value-mode", "rational"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["min"]["exact"] != "0"
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

@@ -30,9 +30,11 @@ from paradox_lab.likelihood import (
     _float_dtype,
 )
 from conftest import (
+    CAPPED_RULE,
     brute_force_paradox_probability,
     random_instance,
     random_positive_members,
+    random_rule,
 )
 
 AND2 = Agenda.conjunction(2)
@@ -217,6 +219,31 @@ def test_rational_chain_with_prefix_members_matches_convolution(three_majority_i
     quartet = random_positive_members(random.Random(7), inst.agenda.m, 4)
     for n in range(1, 7):
         _assert_rational_chain_is_exact(quartet, n, inst.rule, inst.agenda)
+
+
+def test_rational_chain_matches_convolution_on_random_rules():
+    # random rules cap each axis at its own acceptance count; thresholds 0
+    # and 1 give caps 0 and n, and both tie bits occur. Every Fraction of the
+    # chain is checked against the convolution, and the convolution against
+    # profile enumeration
+    rng = random.Random(101)
+    thresholds, ties = set(), set()
+    for trial in range(9):
+        p = 1 + trial % 3
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        rule = random_rule(rng, p + 1)
+        dists = random_positive_members(rng, agenda.m, 2 + trial % 2)
+        thresholds.update(rule.thresholds)
+        ties.update(rule.breakings)
+        for n in range(1, 9):
+            _assert_rational_chain_is_exact(dists, n, rule, agenda)
+        # profile enumeration costs m^n per assignment: one assignment per n
+        for n in range(1, 5):
+            counts = _random_counts(rng, n, dists.size)
+            assert exact_paradox_probability(
+                counts, dists, rule, agenda, value_mode="rational"
+            ) == brute_force_paradox_probability(counts, dists, rule, agenda)
+    assert {0, 1} <= thresholds and ties == {0, 1}
 
 
 def test_auto_extremes_choose_one_number_type():
@@ -518,26 +545,43 @@ def test_resource_budgets_raise():
     with pytest.raises(ResourceBudgetError):
         exact_paradox_probability((40, 0), THETA1, MAJ, AND2,
                                   value_mode="float", state_budget=100)
-    # the rational engine is charged (n+1)^(p+1) = 64 count-grid cells at
-    # n=3, p=2, not the 20 histograms of three agents over four judgements
+    # the rational engine is charged the capped count grid, not the 20
+    # histograms of three agents over four judgements: at n=3 every
+    # proposition of MAJ accepts from 2 votes, so the caps are (2, 2, 2)
+    # and the grid has 3^3 = 27 cells
     with pytest.raises(ResourceBudgetError):
         exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
-                                  value_mode="rational", state_budget=63)
+                                  value_mode="rational", state_budget=26)
     assert exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
-                                     value_mode="rational", state_budget=64) == (
+                                     value_mode="rational", state_budget=27) == (
         brute_force_paradox_probability((3, 0), THETA1, MAJ, AND2)
     )
-    # the two-block chain stores sum_{k=0..10} (k+1)^3 = 4356 grid entries
-    # at n=10, p=2, one grid of side k+1 per split
+    # at n=10 the caps are (5, 5, 6); the two-block chain stores one grid
+    # per split k, of shape min(k, c_i) + 1 on axis i:
+    # sum_{k=0..5} (k+1)^3 + 5 * (6 * 6 * 7) = 441 + 1260 = 1701 entries
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4355)
-    assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=4356) == (
+        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=1700)
+    assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=1701) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact")
     )
     # the rational chain on integer numerators is charged the same entries
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational", state_budget=4355)
+        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational", state_budget=1700)
     assert smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational",
-                             state_budget=4356) == (
+                             state_budget=1701) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational")
+    )
+
+
+def test_chain_budget_charges_every_axis(three_majority_instance):
+    # CAPPED_RULE's caps differ by axis, (4, 3, 3, 2) at n=8, so the chain's
+    # grid k has shape min(j + k, c_i) + 1 after a prefix of j agents. The
+    # largest chain is the one without prefix: 1 + 2^4 + 3^4 + 4*4*4*3 and
+    # five grids of 5*4*4*3, 1 + 16 + 81 + 192 + 5 * 240 = 1490 entries
+    agenda = three_majority_instance.agenda
+    trio = random_positive_members(random.Random(5), agenda.m, 3)
+    with pytest.raises(ResourceBudgetError):
+        smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1489)
+    assert smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1490) == (
+        smoothed_extremes(trio, 8, CAPPED_RULE, agenda)
     )
