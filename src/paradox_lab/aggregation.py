@@ -10,7 +10,8 @@ fractional histograms.
 
 Every count grid of the package stops axis i at the cap c_i of
 :func:`count_caps`, its index c_i holding every count of at least c_i, and
-grows by the one-agent step :func:`_grid_step`.
+grows by the one-agent step :func:`_grid_step`; its adjoint :func:`_absorb_step`
+takes a grid of values one agent back.
 """
 
 from __future__ import annotations
@@ -136,6 +137,30 @@ def _grid_step(
             before = (slice(None),) * axis
             new[before + (cap,)] += new[before + (cap + 1,)]
     return new[tuple(slice(0, c + 1) for c in caps)]
+
+
+def _absorb_step(
+    values: np.ndarray,
+    weights: Sequence,
+    patterns: Sequence[tuple[int, ...]],
+    box: Sequence[int],
+) -> np.ndarray:
+    """Adjoint of :func:`_grid_step`: absorb one agent into a grid of values.
+
+    Entry t of the result, of shape ``box``, sums w * values[min(t + pattern, c)]
+    over the patterns. ``box`` is the count grid one agent earlier, so each
+    of its sides is the side of ``values`` or one less; an axis on which it
+    is not less is saturated, and its edge copy is the value at c_i.
+    """
+    edges = [(0, int(b == a)) for b, a in zip(box, values.shape)]
+    padded = np.pad(values, edges, mode="edge")
+    new = np.zeros(box, dtype=values.dtype)
+    for w, pat in zip(weights, patterns):
+        if w == 0:
+            continue
+        src = padded[tuple(slice(c, c + b) for c, b in zip(pat, box))]
+        new += src if w == 1 else w * src
+    return new
 
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:

@@ -19,7 +19,9 @@ inside float64's normal range, and in longdouble otherwise (see
 result is checked, as the float64 value returned, against the forward-error
 bound of its nonnegative multiply-add chain (see :func:`_check_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
-two-block chain gives each assignment's probability (see
+assignment tree gives each assignment's probability: the last member's
+absorption chain, by :func:`~paradox_lab.aggregation._absorb_step`, is
+computed once, and the other members' counts are walked depth-first (see
 :func:`_exact_assignment_probabilities`).
 """
 
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import DimensionError, ResourceBudgetError
 from .model import Agenda, QuotaRule
 from .aggregation import (
+    _absorb_step,
     _check_rule,
     _grid_step,
     acceptance_count,
@@ -121,17 +124,11 @@ class SmoothedExtremes:
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All count vectors of length ``parts`` summing to n, lexicographically."""
-    for head in compositions_upto(n, parts - 1):
-        yield head + (n - sum(head),)
-
-
-def compositions_upto(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors of length ``parts`` summing to at most n."""
-    if parts == 0:
-        yield ()
+    if parts == 1:
+        yield (n,)
         return
     for first in range(n + 1):
-        for rest in compositions_upto(n - first, parts - 1):
+        for rest in compositions(n - first, parts - 1):
             yield (first,) + rest
 
 
@@ -193,13 +190,14 @@ def _error_bound(dtype: type, n: int, p: int) -> float:
     N = n*(2^p + p + 5) + (n+1)^(p+1). Every term of a chain probability is a
     product over n one-agent steps. Each step rounds the weight (numerator,
     denominator, quotient), the multiply, at most 2^p adds into the cell and
-    at most p+1 adds that fold a saturated index into its cap; the final
-    multiply by the absorption grid and the sum over at most (n+1)^(p+1)
-    cells add at most that many roundings more. All terms are nonnegative,
-    so the computed probability is within a relative gamma_N of the exact
-    one. A longdouble result is then rounded once to float64, a relative
-    2^-53 more in float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N)
-    in all.
+    at most p+1 adds that fold a saturated index into its cap; an
+    absorption step rounds no more, as it reads a saturated index by an exact
+    edge copy. The final multiply of the walk grid by the last member's
+    absorption grid W_r and the sum over at most (n+1)^(p+1) cells add at
+    most that many roundings more. All terms are nonnegative, so the computed
+    probability is within a relative gamma_N of the exact one. A longdouble
+    result is then rounded once to float64, a relative 2^-53 more in
+    float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N) in all.
     """
     steps = n * ((1 << p) + p + 5) + (n + 1) ** (p + 1)
     unit = steps * float(np.finfo(dtype).eps) / 2
@@ -341,6 +339,10 @@ def monte_carlo_estimate(
 ) -> tuple[float, float]:
     """Paradox frequency over i.i.d. sampled profiles, with binomial standard error.
 
+    The standard error is the Wald estimate sqrt(p_hat * (1 - p_hat) / trials).
+    It is 0.0 when no trial, or every trial, is a paradox, so it is no bound
+    for rare events.
+
     The generator stream is fully determined by the seed; identical
     (seed, trials, instance) inputs reproduce the estimate bit for bit.
     Sampling probabilities are float-rounded, but every verdict on a sampled
@@ -395,64 +397,28 @@ def monte_carlo_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _two_block_probabilities(
-    weights_a: Sequence,
-    weights_b: Sequence,
-    split_total: int,
-    rule: QuotaRule,
-    agenda: Agenda,
-    n_total: int,
-    prefix_grid: np.ndarray,
-    state_budget: int,
-) -> np.ndarray:
-    """P(paradox) for (k member_a agents, split_total - k member_b agents, prefix).
+def _walk(
+    grid: np.ndarray,
+    weights: Sequence[Sequence],
+    patterns: Sequence[tuple[int, ...]],
+    caps: Sequence[int],
+    room: int,
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Depth-first walk of the assignment tree below ``grid``, lexicographically.
 
-    One stored forward chain for member_a meets one backward absorption chain
-    for member_b, so all split_total + 1 assignments cost O(m * n^(p+2))
-    together instead of per assignment. All grids are capped at
-    c = :func:`~paradox_lab.aggregation.count_caps` of n_total.
-    ``prefix_grid`` is the count grid of the prefix's agents, of side s_i on
-    axis i. Forward grid k has side min(s_i - 1 + k, c_i) + 1 on axis i, and
-    the absorption grid that meets it has the same shape, so the stored
-    forward chain and the backward sweep both cover
-    sum_k prod_i (min(s_i - 1 + k, c_i) + 1) cells. Everything runs in the
-    prefix grid's dtype, the weights' type: on integer numerators entry k is
-    the numerator over D_a^k * D_b^(split_total - k) * D_prefix.
+    Yields (head, leaf) for every count vector ``head`` of the members with
+    ``weights`` that places at most ``room`` agents, ``leaf`` being ``grid``
+    after those agents: one :func:`~paradox_lab.aggregation._grid_step` per
+    tree node, and one grid held per member above the current one.
     """
-    dtype = prefix_grid.dtype
-    caps = count_caps(rule, n_total)
-    chain_entries = sum(
-        math.prod(min(s - 1 + k, c) + 1 for s, c in zip(prefix_grid.shape, caps))
-        for k in range(split_total + 1)
-    )
-    if chain_entries > state_budget:
-        raise ResourceBudgetError(
-            "exact-extremes state grid too large", required=chain_entries, budget=state_budget
-        )
-    patterns = proposition_patterns(agenda)
-
-    forward = [prefix_grid]
-    for _ in range(split_total):
-        forward.append(_grid_step(forward[-1], weights_a, patterns, caps))
-
-    absorb = _paradox_indicator(rule, agenda, n_total).astype(dtype)
-    probs = np.zeros(split_total + 1, dtype=dtype)
-    for k in range(split_total, -1, -1):
-        probs[k] = (forward[k] * absorb).sum()
+    if not weights:
+        yield (), grid
+        return
+    for k in range(room + 1):
         if k:
-            # absorb one more member_b agent on forward[k - 1]'s box:
-            # W(t) <- sum_w w * W(min(t + pattern, c)). An axis on which the
-            # box does not shrink is saturated, and its edge copy is W at c.
-            box = forward[k - 1].shape
-            edges = [(0, int(b == a)) for b, a in zip(box, absorb.shape)]
-            padded = np.pad(absorb, edges, mode="edge")
-            new = np.zeros(box, dtype=dtype)
-            for w, pat in zip(weights_b, patterns):
-                if w == 0:
-                    continue
-                new += w * padded[tuple(slice(c, c + b) for c, b in zip(pat, box))]
-            absorb = new
-    return probs
+            grid = _grid_step(grid, weights[0], patterns, caps)
+        for tail, leaf in _walk(grid, weights[1:], patterns, caps, room - k):
+            yield (k,) + tail, leaf
 
 
 def _exact_assignment_probabilities(
@@ -463,15 +429,25 @@ def _exact_assignment_probabilities(
     value_mode: str,
     state_budget: int,
 ) -> list[tuple[tuple[int, ...], Union[Fraction, float]]]:
-    """Every assignment's probability, from one two-block chain per prefix.
+    """Every assignment's probability, from one assignment tree.
 
-    Members 0 and 1 are the two blocks, members 2.. the prefix. The number
-    type is chosen once: 'rational' runs on integer numerators, 'float' in
-    :func:`_float_dtype`'s dtype, and 'auto' is rational iff
+    The last member's absorption chain is computed once: W_r(t) is
+    P(paradox | capped counts t of the other n - r agents, r agents of the
+    last member), on that count grid's box min(n - r, c_i) + 1, and W_0 is
+    the paradox indicator. Members 0..l-2 are walked depth-first in
+    lexicographic order, one :func:`~paradox_lab.aggregation._grid_step` per
+    tree node, and a leaf whose grid holds a agents is the assignment with
+    n - a agents on the last member, of probability (grid * W_{n-a}).sum().
+    One member walks nothing and reads W_n on the side-1 grid. The budget
+    charges the stored chain plus the l - 2 walk grids held above the
+    current one, each at most prod_i (c_i + 1) cells.
+
+    The number type is chosen once: 'rational' runs on integer numerators,
+    an assignment's numerator over prod_k D_k^(c_k); 'float' runs in
+    :func:`_float_dtype`'s dtype; and 'auto' is rational iff
     n < _AUTO_FLOAT_MIN_N and the worst denominator max_k D_k^n fits
-    DEFAULT_DENOMINATOR_BITS. A single member runs one
-    :func:`exact_paradox_probability` in that type. Float results are checked
-    by :func:`_check_error_bound`.
+    DEFAULT_DENOMINATOR_BITS. Float results are checked by
+    :func:`_check_error_bound`.
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
@@ -481,37 +457,35 @@ def _exact_assignment_probabilities(
         and n < _AUTO_FLOAT_MIN_N
         and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
     )
-    if dists.size == 1:
-        prob = exact_paradox_probability(
-            (n,), dists, rule, agenda,
-            value_mode="rational" if exact else "float", state_budget=state_budget,
-        )
-        return [((n,), prob)]
     dtype = object if exact else _float_dtype(dists, n)
     weights = numerators if exact else _member_weights(dists, dtype)[0]
 
     patterns = proposition_patterns(agenda)
     caps = count_caps(rule, n)
-    results: list[tuple[tuple[int, ...], Union[Fraction, float]]] = []
-    for lead in compositions_upto(n, dists.size - 2):
-        split_total = n - sum(lead)
-        prefix_grid = np.ones((1,) * (agenda.p + 1), dtype=dtype)
-        for member_weights, count in zip(weights[2:], lead):
-            for _ in range(count):
-                prefix_grid = _grid_step(prefix_grid, member_weights, patterns, caps)
-        probs = _two_block_probabilities(
-            weights[0], weights[1], split_total, rule, agenda, n, prefix_grid, state_budget
+    boxes = [tuple(min(n - r, c) + 1 for c in caps) for r in range(n + 1)]
+    entries = sum(math.prod(box) for box in boxes)
+    entries += max(dists.size - 2, 0) * math.prod(c + 1 for c in caps)
+    if entries > state_budget:
+        raise ResourceBudgetError(
+            "exact-extremes state grid too large", required=entries, budget=state_budget
         )
-        if not exact:
-            probs = _check_error_bound(probs, dtype, n, agenda.p)
-        for k, prob in enumerate(probs):
-            counts = (k, split_total - k) + lead
-            if exact:
-                denominator = math.prod(lcd**c for lcd, c in zip(lcds, counts))
-                results.append((counts, Fraction(int(prob), denominator)))
-            else:
-                results.append((counts, float(prob)))
-    return results
+    absorb = [_paradox_indicator(rule, agenda, n).astype(dtype)]
+    for box in boxes[1:]:
+        absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, box))
+
+    counts_list, probs = [], []
+    root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
+    for head, grid in _walk(root, weights[:-1], patterns, caps, n):
+        agents = sum(head)
+        counts_list.append(head + (n - agents,))
+        probs.append((grid * absorb[n - agents]).sum())
+    if not exact:
+        checked = _check_error_bound(np.array(probs, dtype=dtype), dtype, n, agenda.p)
+        return [(counts, float(prob)) for counts, prob in zip(counts_list, checked)]
+    return [
+        (counts, Fraction(int(prob), math.prod(lcd**c for lcd, c in zip(lcds, counts))))
+        for counts, prob in zip(counts_list, probs)
+    ]
 
 
 def smoothed_extremes(

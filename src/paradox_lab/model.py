@@ -241,10 +241,6 @@ class Histogram:
     def m(self) -> int:
         return len(self.weights)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(w.denominator == 1 for w in self.weights)
-
     def __add__(self, other: "Histogram") -> "Histogram":
         if self.m != other.m:
             raise DimensionError("histogram lengths differ")

@@ -211,7 +211,7 @@ def test_rational_chain_matches_per_assignment_convolution(name, request):
 
 
 def test_rational_chain_with_prefix_members_matches_convolution(three_majority_instance):
-    # a third member runs the prefix grids, and four p=3 members two prefix levels
+    # a third member adds a walk level to the tree, four p=3 members two
     trio = DistributionSet(THETA1.members + EXPSMALL.members[1:])
     for n in range(1, 12):
         _assert_rational_chain_is_exact(trio, n, MAJ, AND2)
@@ -228,11 +228,12 @@ def test_rational_chain_matches_convolution_on_random_rules():
     # profile enumeration
     rng = random.Random(101)
     thresholds, ties = set(), set()
-    for trial in range(9):
+    # 12 trials meet every p = 1..3 with every member count 1..4
+    for trial in range(12):
         p = 1 + trial % 3
         agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
         rule = random_rule(rng, p + 1)
-        dists = random_positive_members(rng, agenda.m, 2 + trial % 2)
+        dists = random_positive_members(rng, agenda.m, 1 + trial % 4)
         thresholds.update(rule.thresholds)
         ties.update(rule.breakings)
         for n in range(1, 9):
@@ -357,14 +358,14 @@ def test_float_dtype_guard_boundary(rows, n, dtype):
     [
         pytest.param("expsmall_instance", (), (10, 12, 14), id="expsmall_instance"),
         pytest.param("theta1_instance", (), (10, 12, 14), id="theta1_instance"),
-        # a third member runs the prefix grids: 66 and 78 assignments
+        # a third member adds a walk level: 66 and 78 assignments
         pytest.param("theta1_instance", EXPSMALL.members[1:], (10, 11), id="theta1_trio"),
         pytest.param("three_majority_instance", (), (10, 12), id="three_majority_instance"),
     ],
 )
 def test_two_block_error_within_bound(name, extra, ns, request):
-    # every assignment of the two-block chain against its exact probability,
-    # to within the chain's own forward-error bound
+    # every assignment of the assignment tree against its exact probability,
+    # to within the tree's own forward-error bound
     inst = request.getfixturevalue(name)
     dists = DistributionSet(inst.distributions.members + tuple(extra))
     rule, agenda = inst.rule, inst.agenda
@@ -556,8 +557,9 @@ def test_resource_budgets_raise():
                                      value_mode="rational", state_budget=27) == (
         brute_force_paradox_probability((3, 0), THETA1, MAJ, AND2)
     )
-    # at n=10 the caps are (5, 5, 6); the two-block chain stores one grid
-    # per split k, of shape min(k, c_i) + 1 on axis i:
+    # at n=10 the caps are (5, 5, 6); the assignment tree stores the last
+    # member's absorption grid W_r for r = 0..10, of shape
+    # min(10 - r, c_i) + 1 on axis i, and two members hold no walk grid:
     # sum_{k=0..5} (k+1)^3 + 5 * (6 * 6 * 7) = 441 + 1260 = 1701 entries
     with pytest.raises(ResourceBudgetError):
         smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=1700)
@@ -574,14 +576,15 @@ def test_resource_budgets_raise():
 
 
 def test_chain_budget_charges_every_axis(three_majority_instance):
-    # CAPPED_RULE's caps differ by axis, (4, 3, 3, 2) at n=8, so the chain's
-    # grid k has shape min(j + k, c_i) + 1 after a prefix of j agents. The
-    # largest chain is the one without prefix: 1 + 2^4 + 3^4 + 4*4*4*3 and
-    # five grids of 5*4*4*3, 1 + 16 + 81 + 192 + 5 * 240 = 1490 entries
+    # CAPPED_RULE's caps differ by axis, (4, 3, 3, 2) at n=8, so the stored
+    # absorption grid W_r has shape min(8 - r, c_i) + 1: 1 + 2^4 + 3^4 +
+    # 4*4*4*3 and five grids of 5*4*4*3, 1 + 16 + 81 + 192 + 5 * 240 = 1490
+    # entries. Three members hold one walk grid of 5*4*4*3 = 240 cells above
+    # the current one, for 1490 + 240 = 1730
     agenda = three_majority_instance.agenda
     trio = random_positive_members(random.Random(5), agenda.m, 3)
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1489)
-    assert smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1490) == (
+        smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1729)
+    assert smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1730) == (
         smoothed_extremes(trio, 8, CAPPED_RULE, agenda)
     )
