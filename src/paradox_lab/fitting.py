@@ -90,8 +90,6 @@ def _gauss_newton(
     model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta0: Sequence[float],
-    max_iterations: int,
-    tolerance: float,
 ) -> tuple[np.ndarray, int]:
     def sse(theta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -104,7 +102,7 @@ def _gauss_newton(
     current = sse(theta)
     damping = 1e-3
     stalled = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = y - model(x, theta)
             jac = jacobian(x, theta)
@@ -132,7 +130,7 @@ def _gauss_newton(
             # no downhill step exists at any damping: already at a minimum
             return theta, iteration
         theta = theta + step
-        if float(np.max(np.abs(step) / (np.abs(theta) + 1.0))) < tolerance:
+        if float(np.max(np.abs(step) / (np.abs(theta) + 1.0))) < _STEP_TOLERANCE:
             return theta, iteration
         # objective stall: drifting along a flat valley counts as converged
         stalled = stalled + 1 if improvement <= 1e-13 * (1.0 + current) else 0
@@ -140,7 +138,7 @@ def _gauss_newton(
             return theta, iteration
     rmse = math.sqrt(current / len(x))
     raise FitError(
-        f"no convergence after {max_iterations} iterations; "
+        f"no convergence after {_MAX_ITERATIONS} iterations; "
         f"rmse {rmse:.3e}, last parameters {theta.tolist()}"
     )
 
@@ -157,13 +155,7 @@ def _init_exp(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     return float(r[0]) if len(r) else 0.0, 0.1
 
 
-def fit_curve(
-    series: Sequence[tuple[float, float]],
-    family: str,
-    *,
-    max_iterations: int = _MAX_ITERATIONS,
-    tolerance: float = _STEP_TOLERANCE,
-) -> FitResult:
+def fit_curve(series: Sequence[tuple[float, float]], family: str) -> FitResult:
     """Least-squares fit of one family; see FAMILIES for the shapes.
 
     exp_plus_const: a*exp(-b*x) + c        exp_decay: a*exp(-b*x)
@@ -190,8 +182,7 @@ def fit_curve(
             [np.exp(-th[1] * t), -th[0] * t * np.exp(-th[1] * t)], axis=1
         )
         a0, b0 = _init_exp(x, y)
-        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, b0),
-                                     max_iterations, tolerance)
+        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, b0))
 
     elif family == "exp_plus_const":
         model = lambda t, th: th[0] * np.exp(-th[1] * t) + th[2]
@@ -210,8 +201,7 @@ def fit_curve(
             fitted = np.full_like(y, c0)
             rmse, r2 = _goodness(y, fitted)
             return FitResult(family, (0.0, 0.0, c0), rmse, r2, 0)
-        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, b0, c0),
-                                     max_iterations, tolerance)
+        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, b0, c0))
 
     else:  # inv_sqrt_shift
         def model(t, th):
@@ -230,8 +220,7 @@ def fit_curve(
         order = np.argsort(x)
         x0, y0 = float(x[order[0]]), float(y[order[0]])
         a0 = y0 * math.sqrt(max(x0, 1.0))
-        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, 0.0),
-                                     max_iterations, tolerance)
+        theta, iters = _gauss_newton(x, y, model, jacobian, (a0, 0.0))
 
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = model(x, theta)

@@ -15,7 +15,8 @@ D_k, the least common denominator of its weights, and the common denominator
 prod_k D_k^(c_k) is applied once at the end. The float engines run the same
 kernel in float64 when every nonzero product of n weights provably stays far
 inside float64's normal range, and in longdouble otherwise (see
-:func:`_float_dtype`). Every float
+:func:`_float_dtype`); :func:`_number_type` picks the engine once per run,
+by one rule for every exact probability. Every float
 result is checked, as the float64 value returned, against the forward-error
 bound of its nonnegative multiply-add chain (see :func:`_check_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
@@ -132,8 +133,14 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _as_assignment(a: Union[Assignment, Sequence[int]]) -> Assignment:
-    return a if isinstance(a, Assignment) else Assignment(tuple(a))
+def _as_assignment(a: Union[Assignment, Sequence[int]], dists: DistributionSet) -> Assignment:
+    """``a`` as an Assignment, checked to give one count to each member of ``dists``."""
+    assignment = a if isinstance(a, Assignment) else Assignment(tuple(a))
+    if len(assignment.counts) != dists.size:
+        raise DimensionError(
+            f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
+        )
+    return assignment
 
 
 def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> None:
@@ -181,6 +188,27 @@ def _float_dtype(dists: DistributionSet, n: int) -> type:
     eps = min(w for member in dists.members for w in member.weights if w > 0)
     fits = eps.denominator**n <= eps.numerator**n << _FLOAT64_RANGE_BITS
     return np.float64 if fits else np.longdouble
+
+
+def _number_type(dists: DistributionSet, n: int, value_mode: str) -> tuple[type, list, list]:
+    """(dtype, weights, lcds) of an n-agent run, chosen once before its first step.
+
+    'rational' runs on the integer numerators of :func:`_member_weights`;
+    'float' runs in :func:`_float_dtype`'s dtype; and 'auto' is rational iff
+    n < _AUTO_FLOAT_MIN_N and the worst denominator of any n-agent
+    assignment, max_k D_k^n, fits DEFAULT_DENOMINATOR_BITS.
+    """
+    if value_mode not in ("auto", "rational", "float"):
+        raise ValueError(f"unknown value_mode {value_mode!r}")
+    numerators, lcds = _member_weights(dists, object)
+    if value_mode == "rational" or (
+        value_mode == "auto"
+        and n < _AUTO_FLOAT_MIN_N
+        and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
+    ):
+        return object, numerators, lcds
+    dtype = _float_dtype(dists, n)
+    return dtype, _member_weights(dists, dtype)[0], lcds
 
 
 def _error_bound(dtype: type, n: int, p: int) -> float:
@@ -231,6 +259,22 @@ def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> np.nda
     return out
 
 
+def _results(values: Sequence, counts_list: Sequence[tuple[int, ...]], dtype: type,
+             lcds: Sequence[int], n: int, p: int) -> list[Union[Fraction, float]]:
+    """Chain values as the probabilities of the assignments in ``counts_list``.
+
+    An integer numerator becomes a Fraction over prod_k D_k^(c_k), and float
+    values the float64s that :func:`_check_error_bound` checked.
+    """
+    if dtype is object:
+        return [
+            Fraction(int(value), math.prod(lcd**c for lcd, c in zip(lcds, counts)))
+            for value, counts in zip(values, counts_list)
+        ]
+    checked = _check_error_bound(np.array(values, dtype=dtype), dtype, n, p)
+    return [float(value) for value in checked]
+
+
 def exact_paradox_probability(
     assignment: Union[Assignment, Sequence[int]],
     dists: DistributionSet,
@@ -238,28 +282,19 @@ def exact_paradox_probability(
     agenda: Agenda,
     *,
     value_mode: str = "auto",
-    denominator_bit_limit: int = DEFAULT_DENOMINATOR_BITS,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
     Both engines convolve over the capped count grid of prod_i (c_i + 1)
     cells, c = :func:`~paradox_lab.aggregation.count_caps`, which
-    ``state_budget`` caps. ``value_mode='rational'`` runs it on integer
-    numerators and returns an exact fraction; ``'float'`` runs it in the
-    dtype :func:`_float_dtype` picks and checks the result against
-    :func:`_error_bound`; ``'auto'`` chooses once, before the first step:
-    rational when the common denominator prod_k D_k^(c_k) has at most
-    ``denominator_bit_limit`` bits, float otherwise.
+    ``state_budget`` caps. The number type is :func:`_number_type`'s, the
+    same as :func:`smoothed_extremes` runs at this n: ``'rational'`` returns
+    an exact fraction, ``'float'`` a float checked against
+    :func:`_error_bound`, and ``'auto'`` either, by one rule.
     """
-    if value_mode not in ("auto", "rational", "float"):
-        raise ValueError(f"unknown value_mode {value_mode!r}")
-    assignment = _as_assignment(assignment)
+    assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
-    if len(assignment.counts) != dists.size:
-        raise DimensionError(
-            f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
-        )
     n = assignment.n
     p = agenda.p
     caps = count_caps(rule, n)
@@ -268,23 +303,14 @@ def exact_paradox_probability(
         raise ResourceBudgetError(
             "probability grid too large", required=cells, budget=state_budget
         )
-    numerators, lcds = _member_weights(dists, object)
-    denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
-    exact = value_mode == "rational" or (
-        value_mode == "auto" and denominator.bit_length() <= denominator_bit_limit
-    )
-    dtype = object if exact else _float_dtype(dists, n)
-    weights = numerators if exact else _member_weights(dists, dtype)[0]
-
+    dtype, weights, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
     grid = np.ones((1,) * (p + 1), dtype=dtype)
     for member_weights, count in zip(weights, assignment.counts):
         for _ in range(count):
             grid = _grid_step(grid, member_weights, patterns, caps)
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
-    if exact:
-        return Fraction(int(mass), denominator)
-    return float(_check_error_bound(mass, dtype, n, p))
+    return _results([mass], [assignment.counts], dtype, lcds, n, p)[0]
 
 
 def histogram_distribution(
@@ -292,11 +318,7 @@ def histogram_distribution(
     dists: DistributionSet,
 ) -> HistogramDistribution:
     """Exact law of the integer histogram under the assignment (rational only)."""
-    assignment = _as_assignment(assignment)
-    if len(assignment.counts) != dists.size:
-        raise DimensionError(
-            f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
-        )
+    assignment = _as_assignment(assignment, dists)
     numerators, lcds = _member_weights(dists, object)
     denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
     states = {(0,) * dists.m: 1}
@@ -349,7 +371,7 @@ def monte_carlo_estimate(
     integer histogram compares its support counts against the exact
     acceptance counts of :func:`~paradox_lab.aggregation.acceptance_count`.
     """
-    assignment = _as_assignment(assignment)
+    assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
     if assignment.n != n:
         raise ValueError(f"assignment totals {assignment.n} agents, expected n={n}")
@@ -438,33 +460,21 @@ def _exact_assignment_probabilities(
     lexicographic order, one :func:`~paradox_lab.aggregation._grid_step` per
     tree node, and a leaf whose grid holds a agents is the assignment with
     n - a agents on the last member, of probability (grid * W_{n-a}).sum().
-    One member walks nothing and reads W_n on the side-1 grid. The budget
-    charges the stored chain plus the l - 2 walk grids held above the
-    current one, each at most prod_i (c_i + 1) cells.
-
-    The number type is chosen once: 'rational' runs on integer numerators,
-    an assignment's numerator over prod_k D_k^(c_k); 'float' runs in
-    :func:`_float_dtype`'s dtype; and 'auto' is rational iff
-    n < _AUTO_FLOAT_MIN_N and the worst denominator max_k D_k^n fits
-    DEFAULT_DENOMINATOR_BITS. Float results are checked by
-    :func:`_check_error_bound`.
+    One member walks nothing and reads only W_n on the side-1 grid, so it
+    keeps just the newest W_r and is charged prod_i (c_i + 1) cells, as
+    :func:`exact_paradox_probability` is for the same assignment. More
+    members are charged the stored chain plus the l - 2 walk grids held
+    above the current one, each at most prod_i (c_i + 1) cells. The number
+    type is :func:`_number_type`'s.
     """
-    if value_mode not in ("auto", "rational", "float"):
-        raise ValueError(f"unknown value_mode {value_mode!r}")
-    numerators, lcds = _member_weights(dists, object)
-    exact = value_mode == "rational" or (
-        value_mode == "auto"
-        and n < _AUTO_FLOAT_MIN_N
-        and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
-    )
-    dtype = object if exact else _float_dtype(dists, n)
-    weights = numerators if exact else _member_weights(dists, dtype)[0]
-
+    dtype, weights, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
     caps = count_caps(rule, n)
     boxes = [tuple(min(n - r, c) + 1 for c in caps) for r in range(n + 1)]
-    entries = sum(math.prod(box) for box in boxes)
-    entries += max(dists.size - 2, 0) * math.prod(c + 1 for c in caps)
+    cells = math.prod(c + 1 for c in caps)
+    entries = cells
+    if dists.size > 1:
+        entries = sum(math.prod(box) for box in boxes) + (dists.size - 2) * cells
     if entries > state_budget:
         raise ResourceBudgetError(
             "exact-extremes state grid too large", required=entries, budget=state_budget
@@ -472,20 +482,17 @@ def _exact_assignment_probabilities(
     absorb = [_paradox_indicator(rule, agenda, n).astype(dtype)]
     for box in boxes[1:]:
         absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, box))
+        if dists.size == 1:
+            del absorb[0]
 
-    counts_list, probs = [], []
+    counts_list, values = [], []
     root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
     for head, grid in _walk(root, weights[:-1], patterns, caps, n):
         agents = sum(head)
         counts_list.append(head + (n - agents,))
-        probs.append((grid * absorb[n - agents]).sum())
-    if not exact:
-        checked = _check_error_bound(np.array(probs, dtype=dtype), dtype, n, agenda.p)
-        return [(counts, float(prob)) for counts, prob in zip(counts_list, checked)]
-    return [
-        (counts, Fraction(int(prob), math.prod(lcd**c for lcd, c in zip(lcds, counts))))
-        for counts, prob in zip(counts_list, probs)
-    ]
+        # W_{n - agents}, counted from the end so that one member's W_n is found
+        values.append((grid * absorb[-1 - agents]).sum())
+    return list(zip(counts_list, _results(values, counts_list, dtype, lcds, n, agenda.p)))
 
 
 def smoothed_extremes(

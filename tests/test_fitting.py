@@ -3,6 +3,7 @@ import math
 import pytest
 
 from paradox_lab import FitError, fit_curve
+from paradox_lab import fitting
 
 
 def test_log_linear_recovers_exact_line():
@@ -64,10 +65,12 @@ def test_unknown_family_rejected():
         fit_curve([(1, 1.0), (2, 0.5), (3, 0.25), (4, 0.125)], "polynomial")
 
 
-def test_iteration_cap_raises_fit_error():
+def test_iteration_cap_raises_fit_error(monkeypatch):
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(fitting, "_STEP_TOLERANCE", 1e-16)
     series = [(n, 0.9 * math.exp(-0.2 * n) + 0.05) for n in range(1, 14)]
     with pytest.raises(FitError):
-        fit_curve(series, "exp_plus_const", max_iterations=1, tolerance=1e-16)
+        fit_curve(series, "exp_plus_const")
 
 
 def test_result_dict_shape():

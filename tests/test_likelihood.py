@@ -8,6 +8,7 @@ import pytest
 from paradox_lab import (
     Agenda,
     Assignment,
+    DimensionError,
     DistributionSet,
     FractionalVote,
     Histogram,
@@ -95,34 +96,6 @@ def test_assignment_order_is_immaterial():
         mirrored = exact_paradox_probability(counts[::-1], swapped, MAJ, AND2,
                                              value_mode="rational")
         assert direct == mirrored
-
-
-def test_auto_mode_degrades_and_stays_close():
-    exact = exact_paradox_probability((3, 2), THETA1, MAJ, AND2, value_mode="rational")
-    degraded = exact_paradox_probability(
-        (3, 2), THETA1, MAJ, AND2, value_mode="auto", denominator_bit_limit=8
-    )
-    assert isinstance(degraded, float)
-    assert abs(degraded - float(exact)) < 1e-15
-    floated = exact_paradox_probability((3, 2), THETA1, MAJ, AND2, value_mode="float")
-    assert abs(floated - float(exact)) < 1e-15
-
-
-def test_auto_mode_chooses_once_from_denominator_bits(three_majority_instance):
-    inst = three_majority_instance
-    counts = (3, 2)
-    denominator = 1
-    for member, count in zip(inst.distributions.members, counts):
-        denominator *= math.lcm(*(w.denominator for w in member.weights)) ** count
-    bits = denominator.bit_length()
-    args = (counts, inst.distributions, inst.rule, inst.agenda)
-    exact = exact_paradox_probability(*args, value_mode="rational")
-    at_limit = exact_paradox_probability(*args, value_mode="auto", denominator_bit_limit=bits)
-    assert isinstance(at_limit, Fraction)
-    assert at_limit == exact
-    below = exact_paradox_probability(*args, value_mode="auto", denominator_bit_limit=bits - 1)
-    assert isinstance(below, float)
-    assert abs(below - float(exact)) < 1e-15
 
 
 def test_p3_many_members_match_enumeration(three_majority_instance, three_quota_instance):
@@ -248,20 +221,25 @@ def test_rational_chain_matches_convolution_on_random_rules():
 
 
 def test_auto_extremes_choose_one_number_type():
-    assert type(smoothed_extremes(THETA1, 9, MAJ, AND2).max_probability) is Fraction
-    assert type(smoothed_extremes(THETA1, 10, MAJ, AND2).max_probability) is float
-    # D = 2^460: at n=9 only (9, 0)'s denominator, 2^4140, exceeds 4096 bits,
-    # and auto decides for the whole chain from that worst one: all floats
+    # auto is rational below n = 10 and floats from it on; with D = 2^460 at
+    # n = 9 only (9, 0)'s denominator, 2^4140, exceeds 4096 bits, and auto
+    # decides for the whole run from that worst one: all floats. A single
+    # assignment's probability takes the number type of the extremes at its n
     tiny = Fraction(1, 2**460)
-    dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
-    for n, kind in ((8, Fraction), (9, float)):
-        auto = _exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR, "auto",
+    cases = [(THETA1, MAJ, AND2, 9, Fraction), (THETA1, MAJ, AND2, 10, float)]
+    cases += [(_dists([1 - tiny, tiny], ["3/10", "7/10"]), MIRROR_RULE, MIRROR, n, kind)
+              for n, kind in ((8, Fraction), (9, float))]
+    for dists, rule, agenda, n, kind in cases:
+        auto = _exact_assignment_probabilities(dists, n, rule, agenda, "auto",
                                                DEFAULT_STATE_BUDGET)
-        rational = dict(_exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR,
-                                                        "rational", DEFAULT_STATE_BUDGET))
-        assert all(type(prob) is kind for _, prob in auto)
+        assert type(smoothed_extremes(dists, n, rule, agenda).max_probability) is kind
         for counts, prob in auto:
-            assert prob == pytest.approx(float(rational[counts]), rel=1e-15)
+            single = exact_paradox_probability(counts, dists, rule, agenda)
+            exact = exact_paradox_probability(counts, dists, rule, agenda,
+                                              value_mode="rational")
+            assert type(prob) is type(single) is kind
+            assert prob == pytest.approx(float(exact), rel=1e-15)
+            assert single == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_extremes_bounds_and_order():
@@ -453,6 +431,18 @@ def test_monte_carlo_threshold_denominator_beyond_int64():
     assert abs(est - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
+def test_assignment_length_matches_the_set():
+    # one count per member, or DimensionError: zip would drop a third count
+    # or a second member silently
+    for counts in ((1, 1, 1), (3,)):
+        with pytest.raises(DimensionError):
+            monte_carlo_estimate(counts, THETA1, 3, MAJ, AND2, trials=100)
+        with pytest.raises(DimensionError):
+            exact_paradox_probability(counts, THETA1, MAJ, AND2)
+        with pytest.raises(DimensionError):
+            histogram_distribution(counts, THETA1)
+
+
 def test_monte_carlo_degenerate_point_mass():
     # a deterministic vote distribution is fine for sampling even though it
     # is outside the strictly-positive regime the condition checks need
@@ -572,6 +562,17 @@ def test_resource_budgets_raise():
     assert smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational",
                              state_budget=1701) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational")
+    )
+    # one member reads only W_n and keeps one absorption grid at a time: it
+    # is charged the full capped grid, 6 * 6 * 7 = 252 cells, as the
+    # convolution of its one assignment (10,) is
+    single = DistributionSet(THETA1.members[:1])
+    with pytest.raises(ResourceBudgetError):
+        smoothed_extremes(single, 10, MAJ, AND2, state_budget=251)
+    with pytest.raises(ResourceBudgetError):
+        exact_paradox_probability((10,), single, MAJ, AND2, state_budget=251)
+    assert smoothed_extremes(single, 10, MAJ, AND2, state_budget=252) == (
+        smoothed_extremes(single, 10, MAJ, AND2)
     )
 
 
