@@ -23,6 +23,7 @@ from paradox_lab import (
     monte_carlo_estimate,
     smoothed_extremes,
 )
+from paradox_lab import likelihood
 from paradox_lab.likelihood import (
     DEFAULT_STATE_BUDGET,
     _check_error_bound,
@@ -96,6 +97,38 @@ def test_assignment_order_is_immaterial():
         mirrored = exact_paradox_probability(counts[::-1], swapped, MAJ, AND2,
                                              value_mode="rational")
         assert direct == mirrored
+
+
+def test_auto_mode_degrades_and_stays_close():
+    # from n = 10 on auto runs in floats, each within 1e-15 of the rational value
+    exact = exact_paradox_probability((6, 4), THETA1, MAJ, AND2, value_mode="rational")
+    degraded = exact_paradox_probability((6, 4), THETA1, MAJ, AND2, value_mode="auto")
+    assert isinstance(degraded, float)
+    assert abs(degraded - float(exact)) < 1e-15
+    floated = exact_paradox_probability((6, 4), THETA1, MAJ, AND2, value_mode="float")
+    assert abs(floated - float(exact)) < 1e-15
+
+
+def test_auto_mode_chooses_once_from_denominator_bits(three_majority_instance, monkeypatch):
+    # auto decides from the worst n-agent denominator, max_k D_k^n, not from
+    # the assignment's own: (3, 2) has 25^3 * 20^2 (23 bits) against 25^5 (24)
+    inst = three_majority_instance
+    counts = (3, 2)
+    lcds = [math.lcm(*(w.denominator for w in member.weights))
+            for member in inst.distributions.members]
+    own = math.prod(lcd**count for lcd, count in zip(lcds, counts)).bit_length()
+    worst = (max(lcds) ** sum(counts)).bit_length()
+    assert own < worst
+    args = (counts, inst.distributions, inst.rule, inst.agenda)
+    exact = exact_paradox_probability(*args, value_mode="rational")
+    monkeypatch.setattr(likelihood, "DEFAULT_DENOMINATOR_BITS", worst)
+    at_limit = exact_paradox_probability(*args, value_mode="auto")
+    assert isinstance(at_limit, Fraction)
+    assert at_limit == exact
+    monkeypatch.setattr(likelihood, "DEFAULT_DENOMINATOR_BITS", worst - 1)
+    below = exact_paradox_probability(*args, value_mode="auto")
+    assert isinstance(below, float)
+    assert abs(below - float(exact)) < 1e-15
 
 
 def test_p3_many_members_match_enumeration(three_majority_instance, three_quota_instance):
