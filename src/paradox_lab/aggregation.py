@@ -3,21 +3,22 @@
 Every verdict here is a pure function of exact rational inputs; the verdict
 on a proposition depends only on its support count and the total weight. On an
 integer count out of n votes the verdict is 1 iff the count reaches
-:func:`acceptance_count`; :func:`outcome_window` turns an outcome vector into
-the box of count vectors that give it. Every integer-count verdict in the
-package goes through these two; :func:`count_verdict` is the reference for
-fractional histograms.
+:func:`acceptance_count`; every integer-count verdict in the package goes
+through it, and :func:`count_verdict` is the reference for fractional
+histograms.
 
-Every count grid of the package stops axis i at the cap c_i of
-:func:`count_caps`, its index c_i holding every count of at least c_i, and
-grows by the one-agent step :func:`_grid_step`; its adjoint :func:`_absorb_step`
-takes a grid of values one agent back.
+Every count grid of the package covers, after k of n votes, the two-sided
+windows of :func:`count_windows` and grows by the one-agent step
+:func:`_grid_step`; its adjoint :func:`_absorb_step` takes a grid of values
+one agent back. The last grid sits in the table of outcome vectors at
+:func:`outcome_slices`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -82,47 +83,54 @@ def acceptance_count(q: Fraction, d: int, n: int) -> int:
     return q.numerator * n // q.denominator + 1
 
 
-def outcome_window(
-    alpha: Sequence[int], rule: QuotaRule, n: int
-) -> Optional[tuple[slice, ...]]:
-    """Box of count vectors over [0, n]^(p+1) whose quota outcome is alpha, or None.
+#: Per axis, the (lo, hi) of the counts a count grid covers after some votes.
+Window = tuple[tuple[int, int], ...]
 
-    Proposition i contributes [a_i, n+1) when alpha_i = 1 and [0, a_i) when
-    alpha_i = 0, with a_i its :func:`acceptance_count`; None when some range
-    is empty.
+
+def acceptance_counts(rule: QuotaRule, n: int) -> list[int]:
+    """The :func:`acceptance_count` of each proposition at n votes."""
+    return [acceptance_count(q, d, n) for q, d in zip(rule.thresholds, rule.breakings)]
+
+
+def count_windows(rule: QuotaRule, n: int) -> list[Window]:
+    """Windows of the count grids after k = 0..n of n votes, in order of k.
+
+    Axis i covers [b_i, min(k, a_i)], b_i = max(0, a_i - (n - k) - 1). Index 0
+    holds the counts up to b_i, which can no longer reach a_i, and the top
+    index, once it is a_i, the counts that have reached it: merging either
+    end changes no verdict.
     """
-    window = []
-    for a, q, d in zip(alpha, rule.thresholds, rule.breakings):
-        accept = acceptance_count(q, d, n)
-        lo, hi = (accept, n + 1) if a == 1 else (0, accept)
-        if lo >= hi:
-            return None
-        window.append(slice(lo, hi))
-    return tuple(window)
+    accepts = acceptance_counts(rule, n)
+    return [tuple((max(0, a + k - n - 1), min(k, a)) for a in accepts) for k in range(n + 1)]
 
 
-def count_caps(rule: QuotaRule, n: int) -> tuple[int, ...]:
-    """Caps c_i = min(a_i, n) of the count grids at n votes, a_i the :func:`acceptance_count`.
+def window_cells(window: Window) -> int:
+    """Cells of the count grid on ``window``."""
+    return math.prod(hi - lo + 1 for lo, hi in window)
 
-    Counts of at least c_i share one verdict, so an :func:`outcome_window`
-    indexes a capped grid as it would the full (n+1)^(p+1) one.
+
+def outcome_slices(rule: QuotaRule, n: int) -> tuple[slice, ...]:
+    """Where the count grid after all n votes sits in the 2^(p+1) table of outcomes.
+
+    Axis i of that grid has two cells, verdicts 0 and 1, unless a_i = 0 (one
+    cell, verdict 1) or a_i = n+1 (one cell, verdict 0).
     """
-    return tuple(min(acceptance_count(q, d, n), n)
-                 for q, d in zip(rule.thresholds, rule.breakings))
+    return tuple(slice(int(a == 0), int(a <= n) + 1) for a in acceptance_counts(rule, n))
 
 
 def _grid_step(
     grid: np.ndarray,
     weights: Sequence,
     patterns: Sequence[tuple[int, ...]],
-    caps: Sequence[int],
+    before: Window,
+    after: Window,
 ) -> np.ndarray:
-    """One-agent convolution on a capped count grid: shift-add over the vote patterns.
+    """One-agent convolution from window ``before`` to ``after``: shift-add over patterns.
 
-    Entry t of the result sums w * grid[s] over entries s and patterns with
-    min(s + pattern, caps) = t: the shifts fill one spare index per axis,
-    which is folded into c_i, as saturation commutes with each +0/+1 step.
-    On bool grids with True weights ``+=`` is OR: the reachable counts.
+    The shifts fill one spare index per axis, folded into the top index when
+    the top stays; index 0 is folded into index 1 when the bottom rises. Both
+    merges commute with each +0/+1 step. On bool grids with True weights
+    ``+=`` is OR: the reachable counts.
     """
     shape = tuple(side + 1 for side in grid.shape)
     new = np.zeros(shape, dtype=grid.dtype)
@@ -132,28 +140,31 @@ def _grid_step(
         dst = tuple(slice(c, c + side) for c, side in zip(pat, grid.shape))
         # 1 * x is exact in every dtype, and skipping it spares a temporary
         new[dst] += grid if w == 1 else w * grid
-    for axis, cap in enumerate(caps):
-        if shape[axis] == cap + 2:
-            before = (slice(None),) * axis
-            new[before + (cap,)] += new[before + (cap + 1,)]
-    return new[tuple(slice(0, c + 1) for c in caps)]
+    for axis, ((lo, hi), (lo2, hi2)) in enumerate(zip(before, after)):
+        axes = (slice(None),) * axis
+        if hi2 == hi:
+            new[axes + (hi - lo,)] += new[axes + (hi - lo + 1,)]
+        if lo2 > lo:
+            new[axes + (1,)] += new[axes + (0,)]
+    return new[tuple(slice(lo2 - lo, hi2 - lo + 1) for (lo, _), (lo2, hi2) in zip(before, after))]
 
 
 def _absorb_step(
     values: np.ndarray,
     weights: Sequence,
     patterns: Sequence[tuple[int, ...]],
-    box: Sequence[int],
+    before: Window,
+    after: Window,
 ) -> np.ndarray:
     """Adjoint of :func:`_grid_step`: absorb one agent into a grid of values.
 
-    Entry t of the result, of shape ``box``, sums w * values[min(t + pattern, c)]
-    over the patterns. ``box`` is the count grid one agent earlier, so each
-    of its sides is the side of ``values`` or one less; an axis on which it
-    is not less is saturated, and its edge copy is the value at c_i.
+    ``values`` lies on window ``after``, the result on ``before``: entry t
+    sums w * values[class of count lo + t + pattern], read from ``values``
+    edge-padded by lo' - lo below and hi + 1 - hi' above.
     """
-    edges = [(0, int(b == a)) for b, a in zip(box, values.shape)]
+    edges = [(lo2 - lo, hi + 1 - hi2) for (lo, hi), (lo2, hi2) in zip(before, after)]
     padded = np.pad(values, edges, mode="edge")
+    box = tuple(hi - lo + 1 for lo, hi in before)
     new = np.zeros(box, dtype=values.dtype)
     for w, pat in zip(weights, patterns):
         if w == 0:

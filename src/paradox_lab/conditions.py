@@ -1,12 +1,10 @@
 """Refinements, outcome feasibility, and the four asymptotic-regime conditions.
 
-Feasibility of an outcome vector at population size n is decided exactly: a
-boolean reachability grid over proposition-count vectors (built once per
-agenda, n and acceptance counts) is intersected with the outcome's box of
-counts from :func:`~paradox_lab.aggregation.outcome_window`. The grid is the
-capped count grid of :mod:`~paradox_lab.aggregation`, each axis stopping at
-its acceptance count, grown one vote at a time by the same one-agent step as
-the probability convolution, with True weights. Convex-hull sign-pattern
+Feasibility of an outcome vector at population size n is decided exactly: it
+is one cell of the table of outcomes that n votes reach (built once per
+agenda, n and acceptance counts), grown on the count windows of
+:mod:`~paradox_lab.aggregation` one vote at a time by the same one-agent
+step as the probability convolution, with True weights. Convex-hull sign-pattern
 feasibility is decided by an exact Phase-I simplex on integer threshold gaps,
 pivoted fraction-free, whose every answer is checked: a witness must
 reproduce its pattern and an infeasible pattern must come with an integer
@@ -30,10 +28,12 @@ from .aggregation import (
     OutcomeVector,
     _check_rule,
     _grid_step,
-    count_caps,
+    acceptance_counts,
+    count_windows,
     inconsistent_outcomes,
-    outcome_window,
+    outcome_slices,
     proposition_patterns,
+    window_cells,
 )
 
 #: Sign pattern over the p+1 propositions: +1 (above threshold), 0 (tied), -1.
@@ -115,7 +115,7 @@ def refinements(
 # Outcome feasibility over integer histograms
 # ---------------------------------------------------------------------------
 
-_reach_cache: dict[tuple, np.ndarray] = {}
+_reach_cache: dict[tuple, tuple[int, np.ndarray]] = {}
 _CACHE_LIMIT = 32
 
 
@@ -133,31 +133,33 @@ def reachable_counts(
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> np.ndarray:
-    """Boolean grid over proposition-count vectors achievable by n votes, capped.
+    """Boolean table over the 2^(p+1) outcome vectors achievable by n votes.
 
-    Axis i stops at c_i of :func:`~paradox_lab.aggregation.count_caps`:
-    entry [t_1, ..., t_{p+1}] is True iff some integer histogram with total n
-    gives each proposition i a support count s_i with min(s_i, c_i) = t_i.
+    Entry alpha is True iff some integer histogram with total n aggregates to
+    alpha. ``state_budget`` caps the cells of the largest count window.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_rule(rule, agenda)
-    caps = count_caps(rule, n)
-    cells = math.prod(c + 1 for c in caps)
+    # the acceptance counts fix every window; a cap min(a_i, n) would not
+    key = (agenda.p, agenda.truth_table, n, tuple(acceptance_counts(rule, n)))
+    cells, table = _reach_cache.get(key, (0, None))
+    if table is None:
+        windows = count_windows(rule, n)
+        cells = max(map(window_cells, windows))
     if cells > state_budget:
         raise ResourceBudgetError(
             "feasibility grid too large", required=cells, budget=state_budget
         )
-    key = (agenda.p, agenda.truth_table, n, caps)
-    cached = _reach_cache.get(key)
-    if cached is not None:
-        return cached
-    patterns = proposition_patterns(agenda)
-    layer = np.ones((1,) * len(caps), dtype=bool)
-    for _ in range(n):
-        layer = _grid_step(layer, (True,) * agenda.m, patterns, caps)
-    _remember(_reach_cache, key, layer)
-    return layer
+    if table is None:
+        patterns = proposition_patterns(agenda)
+        layer = np.ones((1,) * (agenda.p + 1), dtype=bool)
+        for before, after in zip(windows, windows[1:]):
+            layer = _grid_step(layer, (True,) * agenda.m, patterns, before, after)
+        table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
+        table[outcome_slices(rule, n)] = layer
+        _remember(_reach_cache, key, (cells, table))
+    return table
 
 
 def outcome_feasible(
@@ -173,11 +175,9 @@ def outcome_feasible(
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != agenda.p + 1:
         raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
-    window = outcome_window(alpha, rule, n)
-    if window is None:
-        return False
-    grid = reachable_counts(n, rule, agenda, state_budget=state_budget)
-    return bool(grid[window].any())
+    if any(a not in (0, 1) for a in alpha):
+        raise ValueError("outcome entries must be 0 or 1")
+    return bool(reachable_counts(n, rule, agenda, state_budget=state_budget)[alpha])
 
 
 def effective_refinements(
@@ -189,11 +189,8 @@ def effective_refinements(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> frozenset[OutcomeVector]:
     """Refinements of pi that some n-vote profile actually aggregates to."""
-    return frozenset(
-        alpha
-        for alpha in refinements(pi, rule, agenda)
-        if outcome_feasible(alpha, n, rule, agenda, state_budget=state_budget)
-    )
+    reachable = reachable_counts(n, rule, agenda, state_budget=state_budget)
+    return frozenset(alpha for alpha in refinements(pi, rule, agenda) if reachable[alpha])
 
 
 def check_kappa1(
@@ -363,11 +360,8 @@ def _pattern_allows(alpha: OutcomeVector, beta: SignPattern) -> bool:
 def _feasible_inconsistent(
     n: int, rule: QuotaRule, agenda: Agenda, state_budget: int
 ) -> list[OutcomeVector]:
-    return [
-        alpha
-        for alpha in inconsistent_outcomes(agenda)
-        if outcome_feasible(alpha, n, rule, agenda, state_budget=state_budget)
-    ]
+    reachable = reachable_counts(n, rule, agenda, state_budget=state_budget)
+    return [alpha for alpha in inconsistent_outcomes(agenda) if reachable[alpha]]
 
 
 def check_kappa2(

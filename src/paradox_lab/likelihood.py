@@ -5,20 +5,18 @@ probability depends on a distribution assignment only through its counts, and
 on a profile only through its per-proposition support counts, and on each
 count only through whether it reaches its acceptance count. Exact
 probabilities therefore convolve one agent at a time, by
-:func:`~paradox_lab.aggregation._grid_step`, over the capped grid of
-support-count vectors, whose axis i stops at c_i = min(a_i, n) of
-:func:`~paradox_lab.aggregation.count_caps`. Each grid holds just the vectors
-reachable so far: it starts as the single zero vector and grows by one index
-per axis and agent, up to prod_i (c_i + 1) cells. The rational engine runs
-that kernel on Python-int numerators: member k's weights become integers over
-D_k, the least common denominator of its weights, and the common denominator
-prod_k D_k^(c_k) is applied once at the end. The float engines run the same
-kernel in float64 when every nonzero product of n weights provably stays far
-inside float64's normal range, and in longdouble otherwise (see
-:func:`_float_dtype`); :func:`_number_type` picks the engine once per run,
-by one rule for every exact probability. Every float
-result is checked, as the float64 value returned, against the forward-error
-bound of its nonnegative multiply-add chain (see :func:`_check_error_bound`).
+:func:`~paradox_lab.aggregation._grid_step`, over the two-sided count windows
+of :func:`~paradox_lab.aggregation.count_windows`, from the single zero
+vector to the law of the outcome vector after all n agents. The rational
+engine runs that kernel on Python-int numerators: member k's weights become
+integers over D_k, the least common denominator of its weights, and the
+common denominator prod_k D_k^(c_k) is applied once at the end. The float
+engines run the same kernel in float64 when every nonzero product of n
+weights provably stays far inside float64's normal range, and in longdouble
+otherwise (see :func:`_float_dtype`); :func:`_number_type` picks the engine
+once per run, by one rule for every exact probability. Every float result is
+checked, as the float64 value returned, against the forward-error bound of
+its nonnegative multiply-add chain (see :func:`_check_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
 assignment tree gives each assignment's probability: the last member's
 absorption chain, by :func:`~paradox_lab.aggregation._absorb_step`, is
@@ -39,14 +37,16 @@ import numpy as np
 from .errors import DimensionError, ResourceBudgetError
 from .model import Agenda, QuotaRule
 from .aggregation import (
+    Window,
     _absorb_step,
     _check_rule,
     _grid_step,
-    acceptance_count,
-    count_caps,
+    acceptance_counts,
+    count_windows,
     inconsistent_outcomes,
-    outcome_window,
+    outcome_slices,
     proposition_patterns,
+    window_cells,
 )
 from .conditions import DEFAULT_STATE_BUDGET, DistributionSet, kappa_conditions
 
@@ -150,13 +150,11 @@ def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> No
 
 
 def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
-    """Boolean capped count grid marking inconsistent quota outcomes at total n."""
-    indicator = np.zeros(tuple(c + 1 for c in count_caps(rule, n)), dtype=bool)
+    """Boolean count grid after all n agents marking inconsistent quota outcomes."""
+    table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
     for alpha in inconsistent_outcomes(agenda):
-        window = outcome_window(alpha, rule, n)
-        if window is not None:
-            indicator[window] = True
-    return indicator
+        table[alpha] = True
+    return table[outcome_slices(rule, n)]
 
 
 def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
@@ -215,11 +213,11 @@ def _error_bound(dtype: type, n: int, p: int) -> float:
     """Relative error bound of a returned float probability.
 
     gamma_N = N*u / (1 - N*u), u = eps(dtype)/2,
-    N = n*(2^p + p + 5) + (n+1)^(p+1). Every term of a chain probability is a
-    product over n one-agent steps. Each step rounds the weight (numerator,
+    N = n*(2^p + 2p + 6) + (n+1)^(p+1). Every term of a chain probability is
+    a product over n one-agent steps. Each step rounds the weight (numerator,
     denominator, quotient), the multiply, at most 2^p adds into the cell and
-    at most p+1 adds that fold a saturated index into its cap; an
-    absorption step rounds no more, as it reads a saturated index by an exact
+    at most 2(p+1) adds that fold a window end, top and bottom of each axis;
+    an absorption step rounds no more, as it reads a merged index by an exact
     edge copy. The final multiply of the walk grid by the last member's
     absorption grid W_r and the sum over at most (n+1)^(p+1) cells add at
     most that many roundings more. All terms are nonnegative, so the computed
@@ -227,7 +225,7 @@ def _error_bound(dtype: type, n: int, p: int) -> float:
     result is then rounded once to float64, a relative 2^-53 more in
     float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N) in all.
     """
-    steps = n * ((1 << p) + p + 5) + (n + 1) ** (p + 1)
+    steps = n * ((1 << p) + 2 * p + 6) + (n + 1) ** (p + 1)
     unit = steps * float(np.finfo(dtype).eps) / 2
     gamma = unit / (1 - unit)
     if dtype is np.float64:
@@ -286,10 +284,11 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    Both engines convolve over the capped count grid of prod_i (c_i + 1)
-    cells, c = :func:`~paradox_lab.aggregation.count_caps`, which
-    ``state_budget`` caps. The number type is :func:`_number_type`'s, the
-    same as :func:`smoothed_extremes` runs at this n: ``'rational'`` returns
+    Both engines convolve over the count grids of
+    :func:`~paradox_lab.aggregation.count_windows`, and ``state_budget``
+    caps the cells of the largest one. The number type is
+    :func:`_number_type`'s, the same as :func:`smoothed_extremes` runs at
+    this n: ``'rational'`` returns
     an exact fraction, ``'float'`` a float checked against
     :func:`_error_bound`, and ``'auto'`` either, by one rule.
     """
@@ -297,8 +296,8 @@ def exact_paradox_probability(
     _check_inputs(dists, rule, agenda)
     n = assignment.n
     p = agenda.p
-    caps = count_caps(rule, n)
-    cells = math.prod(c + 1 for c in caps)
+    windows = count_windows(rule, n)
+    cells = max(map(window_cells, windows))
     if cells > state_budget:
         raise ResourceBudgetError(
             "probability grid too large", required=cells, budget=state_budget
@@ -306,9 +305,9 @@ def exact_paradox_probability(
     dtype, weights, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
     grid = np.ones((1,) * (p + 1), dtype=dtype)
-    for member_weights, count in zip(weights, assignment.counts):
-        for _ in range(count):
-            grid = _grid_step(grid, member_weights, patterns, caps)
+    agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
+    for agent_weights, before, after in zip(agents, windows, windows[1:]):
+        grid = _grid_step(grid, agent_weights, patterns, before, after)
     mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
     return _results([mass], [assignment.counts], dtype, lcds, n, p)[0]
 
@@ -382,10 +381,7 @@ def monte_carlo_estimate(
     rng = np.random.default_rng(seed)
 
     chi = np.array(proposition_patterns(agenda), dtype=np.int64)
-    accept = np.array(
-        [acceptance_count(q, d, n) for q, d in zip(rule.thresholds, rule.breakings)],
-        dtype=np.int64,
-    )
+    accept = np.array(acceptance_counts(rule, n), dtype=np.int64)
     truth = np.array(agenda.truth_table, dtype=np.int64)
     powers = 1 << np.arange(agenda.p - 1, -1, -1)
 
@@ -423,23 +419,23 @@ def _walk(
     grid: np.ndarray,
     weights: Sequence[Sequence],
     patterns: Sequence[tuple[int, ...]],
-    caps: Sequence[int],
-    room: int,
+    windows: Sequence[Window],
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Depth-first walk of the assignment tree below ``grid``, lexicographically.
 
+    ``windows`` runs from the window of ``grid`` to that of all n agents.
     Yields (head, leaf) for every count vector ``head`` of the members with
-    ``weights`` that places at most ``room`` agents, ``leaf`` being ``grid``
-    after those agents: one :func:`~paradox_lab.aggregation._grid_step` per
-    tree node, and one grid held per member above the current one.
+    ``weights`` that fits, ``leaf`` being ``grid`` after those agents: one
+    :func:`~paradox_lab.aggregation._grid_step` per tree node, and one grid
+    held per member above the current one.
     """
     if not weights:
         yield (), grid
         return
-    for k in range(room + 1):
+    for k in range(len(windows)):
         if k:
-            grid = _grid_step(grid, weights[0], patterns, caps)
-        for tail, leaf in _walk(grid, weights[1:], patterns, caps, room - k):
+            grid = _grid_step(grid, weights[0], patterns, windows[k - 1], windows[k])
+        for tail, leaf in _walk(grid, weights[1:], patterns, windows[k:]):
             yield (k,) + tail, leaf
 
 
@@ -454,40 +450,38 @@ def _exact_assignment_probabilities(
     """Every assignment's probability, from one assignment tree.
 
     The last member's absorption chain is computed once: W_r(t) is
-    P(paradox | capped counts t of the other n - r agents, r agents of the
-    last member), on that count grid's box min(n - r, c_i) + 1, and W_0 is
-    the paradox indicator. Members 0..l-2 are walked depth-first in
-    lexicographic order, one :func:`~paradox_lab.aggregation._grid_step` per
-    tree node, and a leaf whose grid holds a agents is the assignment with
-    n - a agents on the last member, of probability (grid * W_{n-a}).sum().
-    One member walks nothing and reads only W_n on the side-1 grid, so it
-    keeps just the newest W_r and is charged prod_i (c_i + 1) cells, as
-    :func:`exact_paradox_probability` is for the same assignment. More
-    members are charged the stored chain plus the l - 2 walk grids held
-    above the current one, each at most prod_i (c_i + 1) cells. The number
-    type is :func:`_number_type`'s.
+    P(paradox | counts t of the other n - r agents, r agents of the last
+    member), on the window of n - r agents, and W_0 is the paradox
+    indicator. Members 0..l-2 are walked depth-first in lexicographic order,
+    one :func:`~paradox_lab.aggregation._grid_step` per tree node, and a leaf
+    whose grid holds a agents is the assignment with n - a agents on the
+    last member, of probability (grid * W_{n-a}).sum(). One member reads
+    only W_n, so it keeps just the newest W_r and is charged the largest
+    window, as :func:`exact_paradox_probability` is. More members are
+    charged the stored chain plus the l - 2 walk grids held above the
+    current one, each at most the largest window. The number type is
+    :func:`_number_type`'s.
     """
     dtype, weights, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
-    caps = count_caps(rule, n)
-    boxes = [tuple(min(n - r, c) + 1 for c in caps) for r in range(n + 1)]
-    cells = math.prod(c + 1 for c in caps)
-    entries = cells
+    windows = count_windows(rule, n)
+    cells = [window_cells(window) for window in windows]
+    entries = max(cells)
     if dists.size > 1:
-        entries = sum(math.prod(box) for box in boxes) + (dists.size - 2) * cells
+        entries = sum(cells) + (dists.size - 2) * max(cells)
     if entries > state_budget:
         raise ResourceBudgetError(
             "exact-extremes state grid too large", required=entries, budget=state_budget
         )
     absorb = [_paradox_indicator(rule, agenda, n).astype(dtype)]
-    for box in boxes[1:]:
-        absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, box))
+    for before, after in reversed(list(zip(windows, windows[1:]))):
+        absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
         if dists.size == 1:
             del absorb[0]
 
     counts_list, values = [], []
     root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
-    for head, grid in _walk(root, weights[:-1], patterns, caps, n):
+    for head, grid in _walk(root, weights[:-1], patterns, windows):
         agents = sum(head)
         counts_list.append(head + (n - agents,))
         # W_{n - agents}, counted from the end so that one member's W_n is found

@@ -18,7 +18,13 @@ from paradox_lab import (
     is_tied,
     proposition_weight,
 )
-from paradox_lab.aggregation import acceptance_count, count_verdict, outcome_window
+from paradox_lab.aggregation import (
+    acceptance_count,
+    count_verdict,
+    count_windows,
+    outcome_slices,
+)
+from paradox_lab.conditions import outcome_feasible, reachable_counts
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -150,13 +156,23 @@ def test_count_verdict_agrees_with_acceptance_count():
                 assert (c >= accept) == count_verdict(Fraction(c), Fraction(n), q, d)
 
 
-def test_outcome_window_empty_ranges():
+def test_outcome_slices_edge_ranges():
     n = 4
-    # q = 1 with d = 0 accepts no count, q = 0 with d = 1 rejects none
+    # q = 1 with d = 0 accepts no count (a = n+1), q = 0 with d = 1 rejects
+    # none (a = 0): each axis ends as one cell, of verdict 0 and 1
     edge = QuotaRule.of([1, 0], [0, 1])
-    assert outcome_window((1, 0), edge, n) is None
-    assert outcome_window((0, 0), edge, n) is None
-    assert outcome_window((0, 1), edge, n) == (slice(0, n + 1), slice(0, n + 1))
+    assert count_windows(edge, n)[n] == ((n, n), (0, 0))
+    assert outcome_slices(edge, n) == (slice(0, 1), slice(1, 2))
+    mirror = Agenda(1, (0, 1))
+    table = reachable_counts(n, edge, mirror)
+    assert table.tolist() == [[False, True], [False, False]]
+    assert not outcome_feasible((1, 0), n, edge, mirror)
+    assert not outcome_feasible((0, 0), n, edge, mirror)
+    assert outcome_feasible((0, 1), n, edge, mirror)
+    # a_i in [1, n] ends as two cells, counts below a_i and counts from it
+    inner = QuotaRule.of(["1/2", "1/4"], [1, 0])
+    assert count_windows(inner, n)[n] == ((1, 2), (1, 2))
+    assert outcome_slices(inner, n) == (slice(0, 2), slice(0, 2))
 
 
 def test_independence_of_other_coordinates():

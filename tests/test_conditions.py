@@ -106,7 +106,7 @@ def test_outcome_feasible_matches_enumeration():
     rng = random.Random(17)
     cases = [random_instance(rng)[:2] + (rng.randint(1, 5),) for _ in range(12)]
     # thresholds 0 and 1 under both breakings give acceptance counts 0, 1, n
-    # and n + 1, so the grid's caps run from 0 to a full axis
+    # and n + 1, so the count windows run from one cell to a full axis
     edges = list(product((0, 1), repeat=2))
     for p, n in ((1, 8), (2, 7), (3, 6)):
         for q, d in edges:
@@ -272,13 +272,9 @@ def test_kappa_on_ten_member_three_premise_sets():
         )
 
 
-def _caps(rule: QuotaRule, n: int) -> tuple[int, ...]:
-    return tuple(min(acceptance_count(q, d, n), n)
-                 for q, d in zip(rule.thresholds, rule.breakings))
-
-
 def test_reachable_counts_match_histogram_enumeration():
-    # the capped grid is the image of every histogram's counts under min(s_i, c_i)
+    # the reachable-outcome table is the set of quota outcomes of every
+    # histogram; random rules include a_i = 0 and a_i = n+1, one-cell axes
     rng = random.Random(73)
     for p in (1, 2, 3):
         for _ in range(3):
@@ -286,35 +282,50 @@ def test_reachable_counts_match_histogram_enumeration():
             patterns = proposition_patterns(agenda)
             for n in range(1, 9):
                 rule = random_rule(rng, p + 1)
-                caps = _caps(rule, n)
-                expected = np.zeros(tuple(c + 1 for c in caps), dtype=bool)
+                accepts = [acceptance_count(q, d, n)
+                           for q, d in zip(rule.thresholds, rule.breakings)]
+                expected = np.zeros((2,) * (p + 1), dtype=bool)
                 for hist in enumerate_histograms(n, agenda.m):
-                    counts = tuple(
-                        min(sum(h * pat[i] for h, pat in zip(hist, patterns)), caps[i])
+                    alpha = tuple(
+                        int(sum(h * pat[i] for h, pat in zip(hist, patterns)) >= accepts[i])
                         for i in range(p + 1)
                     )
-                    expected[counts] = True
+                    expected[alpha] = True
                 assert np.array_equal(reachable_counts(n, rule, agenda), expected)
 
 
 def test_reachable_counts_budget_boundary(monkeypatch):
-    # caps (4, 3, 3, 2) at n = 8: 5 * 4 * 4 * 3 = 240 cells
+    # acceptance counts (4, 3, 3, 2) at n = 8: after 4 or 5 votes the windows
+    # are [0, 4] x [0, 3] x [0, 3] x [0, 2], the largest grid, of
+    # 5 * 4 * 4 * 3 = 240 cells; the table holds the 2^4 outcomes
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
-    assert _caps(CAPPED_RULE, 8) == (4, 3, 3, 2)
     with pytest.raises(ResourceBudgetError):
         reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
-    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (5, 4, 4, 3)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (2, 2, 2, 2)
 
 
 def test_reachable_counts_charges_budget_before_cache(monkeypatch):
-    # a grid built under a large enough budget is not handed out under a smaller one
+    # a table built under a large enough budget is not handed out under a smaller one
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
-    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (5, 4, 4, 3)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (2, 2, 2, 2)
     with pytest.raises(ResourceBudgetError):
         reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
     assert len(conditions._reach_cache) == 1
+
+
+def test_reachable_counts_cache_tells_last_windows_apart(monkeypatch):
+    # a = n and a = n+1 share the cap n but end in two cells and in one
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    n = 4
+    at_n = QuotaRule.of([1, "1/2"], [1, 1])
+    beyond = QuotaRule.of([1, "1/2"], [0, 1])
+    # the conclusion mirrors the premise count s: (0, 0) for s < 2, (0, 1)
+    # below a and (1, 1) from a on
+    assert reachable_counts(n, at_n, MIRROR).tolist() == [[True, True], [False, True]]
+    assert reachable_counts(n, beyond, MIRROR).tolist() == [[True, True], [False, False]]
+    assert len(conditions._reach_cache) == 2
 
 
 def test_kappa2_kappa3_worked_examples():

@@ -24,6 +24,7 @@ from paradox_lab import (
     smoothed_extremes,
 )
 from paradox_lab import likelihood
+from paradox_lab.aggregation import acceptance_count
 from paradox_lab.likelihood import (
     DEFAULT_STATE_BUDGET,
     _check_error_bound,
@@ -143,6 +144,17 @@ def test_p3_many_members_match_enumeration(three_majority_instance, three_quota_
                                                             inst.agenda)
 
 
+def _paradox_mass(law, rule, agenda):
+    return sum(
+        (
+            prob
+            for hist, prob in law.probabilities.items()
+            if is_paradox(Histogram(tuple(Fraction(x) for x in hist)), rule, agenda)
+        ),
+        Fraction(0),
+    )
+
+
 def test_p3_many_members_match_histogram_law(three_majority_instance, three_quota_instance):
     # cross-checks the count-grid kernel against the histogram-space law
     rng = random.Random(12)
@@ -151,17 +163,36 @@ def test_p3_many_members_match_histogram_law(three_majority_instance, three_quot
         counts = _random_counts(rng, n, size)
         law = histogram_distribution(counts, dists)
         assert law.total() == 1
-        mass = sum(
-            (
-                prob
-                for hist, prob in law.probabilities.items()
-                if is_paradox(Histogram(tuple(Fraction(x) for x in hist)),
-                              inst.rule, inst.agenda)
-            ),
-            Fraction(0),
-        )
         assert exact_paradox_probability(counts, dists, inst.rule, inst.agenda,
-                                         value_mode="rational") == mass
+                                         value_mode="rational") == (
+            _paradox_mass(law, inst.rule, inst.agenda)
+        )
+
+
+def test_windowed_probability_matches_histogram_law_on_random_rules():
+    # the count-window convolution against the histogram-space law, which
+    # shares no grid code: random rules give acceptance counts 0 and n+1,
+    # whose axes stay one cell wide, as well as folds at both window ends
+    rng = random.Random(131)
+    edges = set()
+    # 12 trials meet every p = 1..3 with every member count 1..4
+    for trial in range(12):
+        p = 1 + trial % 3
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        rule = random_rule(rng, p + 1)
+        dists = random_positive_members(rng, agenda.m, 1 + trial % 4)
+        # p = 3 stops at n = 6: the law of 8 votes over 8 judgements has 6435
+        # histograms, each checked in Fractions
+        for n in range(1, 9 if p < 3 else 7):
+            accepts = [acceptance_count(q, d, n)
+                       for q, d in zip(rule.thresholds, rule.breakings)]
+            edges.update("a=0" if a == 0 else "a=n+1" for a in accepts if a in (0, n + 1))
+            counts = _random_counts(rng, n, dists.size)
+            law = histogram_distribution(counts, dists)
+            assert exact_paradox_probability(
+                counts, dists, rule, agenda, value_mode="rational"
+            ) == _paradox_mass(law, rule, agenda), (trial, n, counts)
+    assert edges == {"a=0", "a=n+1"}
 
 
 def test_histogram_distribution_is_a_law():
@@ -228,10 +259,10 @@ def test_rational_chain_with_prefix_members_matches_convolution(three_majority_i
 
 
 def test_rational_chain_matches_convolution_on_random_rules():
-    # random rules cap each axis at its own acceptance count; thresholds 0
-    # and 1 give caps 0 and n, and both tie bits occur. Every Fraction of the
-    # chain is checked against the convolution, and the convolution against
-    # profile enumeration
+    # random rules give each axis its own count window; thresholds 0 and 1
+    # can give one-cell axes (a = 0 or n+1), and both tie bits occur. Every
+    # Fraction of the chain is checked against the convolution, and the
+    # convolution against profile enumeration
     rng = random.Random(101)
     thresholds, ties = set(), set()
     # 12 trials meet every p = 1..3 with every member count 1..4
@@ -569,10 +600,11 @@ def test_resource_budgets_raise():
     with pytest.raises(ResourceBudgetError):
         exact_paradox_probability((40, 0), THETA1, MAJ, AND2,
                                   value_mode="float", state_budget=100)
-    # the rational engine is charged the capped count grid, not the 20
+    # the rational engine is charged the largest count window, not the 20
     # histograms of three agents over four judgements: at n=3 every
-    # proposition of MAJ accepts from 2 votes, so the caps are (2, 2, 2)
-    # and the grid has 3^3 = 27 cells
+    # proposition of MAJ accepts from a = 2 votes, so after k votes each axis
+    # covers [max(0, k - 2), min(k, 2)], 1, 2, 3 and 2 counts, and the
+    # largest grid has 3^3 = 27 cells
     with pytest.raises(ResourceBudgetError):
         exact_paradox_probability((3, 0), THETA1, MAJ, AND2,
                                   value_mode="rational", state_budget=26)
@@ -580,45 +612,49 @@ def test_resource_budgets_raise():
                                      value_mode="rational", state_budget=27) == (
         brute_force_paradox_probability((3, 0), THETA1, MAJ, AND2)
     )
-    # at n=10 the caps are (5, 5, 6); the assignment tree stores the last
-    # member's absorption grid W_r for r = 0..10, of shape
-    # min(10 - r, c_i) + 1 on axis i, and two members hold no walk grid:
-    # sum_{k=0..5} (k+1)^3 + 5 * (6 * 6 * 7) = 441 + 1260 = 1701 entries
+    # at n=10 the acceptance counts are (5, 5, 6), and after k votes axis i
+    # covers [max(0, a_i + k - 11), min(k, a_i)]: (k+1)^3 cells for k <= 5,
+    # 6^3 for k = 6 and (12 - k)^3 for k = 7..10. The assignment tree stores
+    # the last member's absorption grid W_r on the window of 10 - r votes,
+    # for r = 0..10, and two members hold no walk grid:
+    # (1 + 8 + 27 + 64 + 125 + 216) + 216 + (125 + 64 + 27 + 8) = 881 entries
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=1700)
-    assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=1701) == (
+        smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=880)
+    assert smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact", state_budget=881) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, mode="exact")
     )
     # the rational chain on integer numerators is charged the same entries
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational", state_budget=1700)
+        smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational", state_budget=880)
     assert smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational",
-                             state_budget=1701) == (
+                             state_budget=881) == (
         smoothed_extremes(THETA1, 10, MAJ, AND2, value_mode="rational")
     )
     # one member reads only W_n and keeps one absorption grid at a time: it
-    # is charged the full capped grid, 6 * 6 * 7 = 252 cells, as the
-    # convolution of its one assignment (10,) is
+    # is charged the largest window, 6^3 = 216 cells after 5 or 6 votes, as
+    # the convolution of its one assignment (10,) is
     single = DistributionSet(THETA1.members[:1])
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(single, 10, MAJ, AND2, state_budget=251)
+        smoothed_extremes(single, 10, MAJ, AND2, state_budget=215)
     with pytest.raises(ResourceBudgetError):
-        exact_paradox_probability((10,), single, MAJ, AND2, state_budget=251)
-    assert smoothed_extremes(single, 10, MAJ, AND2, state_budget=252) == (
+        exact_paradox_probability((10,), single, MAJ, AND2, state_budget=215)
+    assert smoothed_extremes(single, 10, MAJ, AND2, state_budget=216) == (
         smoothed_extremes(single, 10, MAJ, AND2)
     )
 
 
 def test_chain_budget_charges_every_axis(three_majority_instance):
-    # CAPPED_RULE's caps differ by axis, (4, 3, 3, 2) at n=8, so the stored
-    # absorption grid W_r has shape min(8 - r, c_i) + 1: 1 + 2^4 + 3^4 +
-    # 4*4*4*3 and five grids of 5*4*4*3, 1 + 16 + 81 + 192 + 5 * 240 = 1490
-    # entries. Three members hold one walk grid of 5*4*4*3 = 240 cells above
-    # the current one, for 1490 + 240 = 1730
+    # CAPPED_RULE's acceptance counts differ by axis, (4, 3, 3, 2) at n=8,
+    # and after k votes axis i covers [max(0, a_i + k - 9), min(k, a_i)]. The
+    # windows of k = 0..8 votes have sides 1^4, 2^4, 3^4, (4, 4, 4, 3),
+    # (5, 4, 4, 3) twice, (4, 4, 4, 3), 3^4 and 2^4, so the stored absorption
+    # grids W_0..W_8 hold 1 + 16 + 81 + 192 + 240 + 240 + 192 + 81 + 16 = 1059
+    # entries. Three members hold one walk grid of at most 240 cells above
+    # the current one, for 1059 + 240 = 1299
     agenda = three_majority_instance.agenda
     trio = random_positive_members(random.Random(5), agenda.m, 3)
     with pytest.raises(ResourceBudgetError):
-        smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1729)
-    assert smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1730) == (
+        smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1298)
+    assert smoothed_extremes(trio, 8, CAPPED_RULE, agenda, state_budget=1299) == (
         smoothed_extremes(trio, 8, CAPPED_RULE, agenda)
     )
