@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,56 +37,6 @@ EXIT_FIT = 4
 
 CSV_HEADER = ("n", "max_est", "max_se", "min_est", "min_se",
               "max_witness", "min_witness", "mode")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    max_est: float
-    max_se: float
-    min_est: float
-    min_se: float
-    max_witness: tuple[int, ...]
-    min_witness: tuple[int, ...]
-    mode: str
-
-    def as_csv(self) -> list[str]:
-        return [
-            str(self.n),
-            repr(float(self.max_est)),
-            repr(float(self.max_se)),
-            repr(float(self.min_est)),
-            repr(float(self.min_se)),
-            ";".join(str(c) for c in self.max_witness),
-            ";".join(str(c) for c in self.min_witness),
-            self.mode,
-        ]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(row.as_csv())
-        return buffer.getvalue()
-
-
-def _row_from_extremes(extremes: SmoothedExtremes) -> SweepRow:
-    return SweepRow(
-        n=extremes.n,
-        max_est=float(extremes.max_probability),
-        max_se=float(extremes.max_stderr),
-        min_est=float(extremes.min_probability),
-        min_se=float(extremes.min_stderr),
-        max_witness=extremes.max_witness.counts,
-        min_witness=extremes.min_witness.counts,
-        mode=extremes.mode,
-    )
 
 
 def _probability_json(value) -> dict:
@@ -131,26 +80,26 @@ def _cmd_check(instance: Instance, options: dict) -> dict:
     }
 
 
-def _cmd_exact(instance: Instance, options: dict) -> dict:
-    extremes = smoothed_extremes(
-        instance.distributions, options["n"], instance.rule, instance.agenda,
-        mode="exact",
+def _extremes(instance: Instance, n: int, options: dict, mode: str, seed: int) -> SmoothedExtremes:
+    """The one call into :func:`smoothed_extremes` behind ``exact``, ``mc`` and ``sweep``."""
+    return smoothed_extremes(
+        instance.distributions, n, instance.rule, instance.agenda,
+        mode=mode,
+        trials=options.get("trials", DEFAULT_TRIALS),
+        seed=seed,
         value_mode=options.get("value_mode", "auto"),
         assignment_budget=options["budget_assignments"],
         state_budget=options["budget_states"],
     )
+
+
+def _cmd_exact(instance: Instance, options: dict) -> dict:
+    extremes = _extremes(instance, options["n"], options, "exact", 0)
     return {"label": instance.label, **_extremes_json(extremes)}
 
 
 def _cmd_mc(instance: Instance, options: dict) -> dict:
-    extremes = smoothed_extremes(
-        instance.distributions, options["n"], instance.rule, instance.agenda,
-        mode="mc",
-        trials=options["trials"],
-        seed=options["seed"],
-        assignment_budget=options["budget_assignments"],
-        state_budget=options["budget_states"],
-    )
+    extremes = _extremes(instance, options["n"], options, "mc", options["seed"])
     return {
         "label": instance.label,
         "trials": options["trials"],
@@ -161,7 +110,7 @@ def _cmd_mc(instance: Instance, options: dict) -> dict:
 
 def _sweep_values(options: dict) -> list[int]:
     start, stop = options["n_from"], options["n_to"]
-    step = options.get("step") or 1
+    step = options["step"]
     if start < 1 or stop < start or step < 1:
         raise ValidationError("sweep", f"bad range [{start}, {stop}] step {step}")
     values = list(range(start, stop + 1, step))
@@ -177,25 +126,29 @@ def _sweep_values(options: dict) -> list[int]:
     return values
 
 
-def _cmd_sweep(instance: Instance, options: dict) -> SweepResult:
-    rows = []
+def _cmd_sweep(instance: Instance, options: dict) -> str:
+    """The sweep as CSV text, one row per n."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
     for n in _sweep_values(options):
         # each row gets its own stream family so estimates are independent
         # across n while staying a pure function of (seed, n)
         row_seed = int(
             np.random.SeedSequence(entropy=(options["seed"], n)).generate_state(1)[0]
         )
-        extremes = smoothed_extremes(
-            instance.distributions, n, instance.rule, instance.agenda,
-            mode=options.get("mode", "exact"),
-            trials=options["trials"],
-            seed=row_seed,
-            value_mode=options.get("value_mode", "auto"),
-            assignment_budget=options["budget_assignments"],
-            state_budget=options["budget_states"],
-        )
-        rows.append(_row_from_extremes(extremes))
-    return SweepResult(tuple(rows))
+        extremes = _extremes(instance, n, options, options.get("mode", "exact"), row_seed)
+        writer.writerow([
+            n,
+            float(extremes.max_probability),
+            float(extremes.max_stderr),
+            float(extremes.min_probability),
+            float(extremes.min_stderr),
+            ";".join(map(str, extremes.max_witness.counts)),
+            ";".join(map(str, extremes.min_witness.counts)),
+            extremes.mode,
+        ])
+    return buffer.getvalue()
 
 
 def _cmd_fit(options: dict) -> dict:
@@ -209,8 +162,8 @@ def _cmd_fit(options: dict) -> dict:
                     "fit.input", f"CSV has no column {column!r} (columns: {reader.fieldnames})"
                 )
             series = [(float(row["n"]), float(row[column])) for row in reader]
-    except FileNotFoundError:
-        raise ValidationError("fit.input", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ValidationError("fit.input", f"cannot read {path}: {exc}") from None
     except (KeyError, ValueError) as exc:
         raise ValidationError("fit.input", f"bad CSV contents: {exc}") from None
     result = fit_curve(series, options["family"])
@@ -234,7 +187,7 @@ def _cmd_polyhedra(instance: Instance) -> dict:
 
 
 def run_command(command: str, instance: Optional[Instance], options: dict):
-    """Dispatch one subcommand; returns a JSON-ready dict or a SweepResult."""
+    """Dispatch one subcommand; returns a JSON-ready dict, or CSV text for ``sweep``."""
     if command == "check":
         return _cmd_check(instance, options)
     if command == "exact":
@@ -316,12 +269,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         instance = None
         if "instance" in options:
-            # condition checking and classification require strict positivity
-            instance = parse_instance(
-                options.pop("instance"),
-                require_strictly_positive=(command == "check"),
-            )
+            instance = parse_instance(options.pop("instance"))
         result = run_command(command, instance, options)
+        text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+        output = options.get("output")
+        if output:
+            try:
+                with open(output, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ValidationError("sweep.output", f"cannot write {output}: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -334,17 +293,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FloatingPointError as exc:
         print(f"numeric error: {exc}; rerun with --value-mode rational", file=sys.stderr)
         return EXIT_VALIDATION
-
-    if isinstance(result, SweepResult):
-        text = result.to_csv()
-        output = options.get("output")
-        if output:
-            with open(output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        print(json.dumps(result, indent=2))
     return EXIT_OK
 
 

@@ -160,14 +160,13 @@ def parse_instance_dict(data: dict) -> Instance:
     return Instance(label, agenda, rule, dists)
 
 
-def parse_instance(
-    path: Union[str, Path], *, require_strictly_positive: bool = False
-) -> Instance:
+def parse_instance(path: Union[str, Path]) -> Instance:
     """Load and validate an instance file.
 
-    A distribution set that is not strictly positive raises when
-    ``require_strictly_positive`` (condition checking and classification need
-    it) and warns otherwise.
+    A distribution set that is not strictly positive loads with a
+    UserWarning: probabilities are defined for it, but condition checking
+    and classification reject it (:func:`~paradox_lab.likelihood.classify`
+    raises ValueError).
     """
     path = Path(path)
     try:
@@ -178,13 +177,11 @@ def parse_instance(
         raise ValidationError("$", f"invalid JSON: {exc}") from None
     instance = parse_instance_dict(data)
     if not instance.distributions.is_strictly_positive:
-        message = (
+        warnings.warn(
             "distribution set is not strictly positive "
-            f"(smallest weight {instance.distributions.epsilon})"
+            f"(smallest weight {instance.distributions.epsilon})",
+            stacklevel=2,
         )
-        if require_strictly_positive:
-            raise ValidationError("distributions", message)
-        warnings.warn(message, stacklevel=2)
     return instance
 
 

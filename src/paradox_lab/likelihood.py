@@ -537,14 +537,10 @@ def smoothed_extremes(
             )
             evaluated.append((counts, est, se))
 
-    max_prob = max(entry[1] for entry in evaluated)
-    min_prob = min(entry[1] for entry in evaluated)
-    max_counts, _, max_se = min(
-        (entry for entry in evaluated if entry[1] == max_prob), key=lambda e: e[0]
-    )
-    min_counts, _, min_se = min(
-        (entry for entry in evaluated if entry[1] == min_prob), key=lambda e: e[0]
-    )
+    # both engines list assignments lexicographically, and max/min return the
+    # first extreme they meet
+    max_counts, max_prob, max_se = max(evaluated, key=lambda entry: entry[1])
+    min_counts, min_prob, min_se = min(evaluated, key=lambda entry: entry[1])
     return SmoothedExtremes(
         n=n,
         mode=mode,

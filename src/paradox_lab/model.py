@@ -10,7 +10,6 @@ the first premise as the most significant digit, so for p=2 the judgements are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -97,11 +96,6 @@ class Agenda:
         """Number of distinct judgements, 2**p."""
         return 1 << self.p
 
-    @property
-    def propositions(self) -> int:
-        """Premises plus the conclusion, p + 1."""
-        return self.p + 1
-
     def conclusion(self, judgement: Sequence[int]) -> int:
         """Value of the conclusion for one judgement."""
         return self.truth_table[encode_judgement(judgement, self.p) - 1]
@@ -169,11 +163,6 @@ class FractionalVote:
     @property
     def m(self) -> int:
         return len(self.weights)
-
-    def weight(self, judgement: Sequence[int]) -> Fraction:
-        """Weight on one judgement."""
-        p = int(math.log2(self.m))
-        return self.weights[encode_judgement(judgement, p) - 1]
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "FractionalVote":

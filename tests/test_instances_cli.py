@@ -1,10 +1,15 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from paradox_lab import ValidationError, parse_instance, parse_instance_dict
+from paradox_lab import ValidationError, parse_instance, parse_instance_dict, smoothed_extremes
 from paradox_lab.instances import instance_to_dict, write_instance
+from paradox_lab.likelihood import DEFAULT_TRIALS
+from paradox_lab.model import format_rational
 from paradox_lab.cli import CSV_HEADER, main
 
 from conftest import INSTANCE_DIR
@@ -77,15 +82,13 @@ def test_parse_rejects_unknown_keys():
         parse_instance_dict(data)
 
 
-def test_non_strictly_positive_warns_or_raises(tmp_path):
+def test_non_strictly_positive_warns(tmp_path):
     data = _base_dict()
     data["distributions"][0] = ["1/2", "1/2", "0", "0"]
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps(data))
     with pytest.warns(UserWarning):
         parse_instance(path)
-    with pytest.raises(ValidationError):
-        parse_instance(path, require_strictly_positive=True)
 
 
 def test_emit_uses_rational_strings(theta1_instance):
@@ -118,7 +121,9 @@ def test_cli_check_requires_strict_positivity(tmp_path, capsys):
     data["distributions"][0] = ["1/2", "1/2", "0", "0"]
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps(data))
-    code = main(["check", "--instance", str(path), "--n", "2"])
+    # the instance loads with a warning; classification then rejects it
+    with pytest.warns(UserWarning):
+        code = main(["check", "--instance", str(path), "--n", "2"])
     assert code == 2
     assert "validation error" in capsys.readouterr().err
 
@@ -284,3 +289,88 @@ def test_cli_fit_error_exit_codes(tmp_path, capsys):
     assert main(["fit", "--family", "exp_decay", "--input", str(csv_path)]) == 2
     missing = tmp_path / "missing.csv"
     assert main(["fit", "--family", "exp_decay", "--input", str(missing)]) == 2
+
+
+def test_cli_sweep_rejects_step_zero(capsys):
+    code = main(["sweep", "--instance", _golden("conjunction_theta1.json"),
+                 "--n-from", "2", "--n-to", "4", "--step", "0"])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_io_errors_exit_2(tmp_path, capsys):
+    unwritable = tmp_path / "missing-dir" / "sweep.csv"
+    code = main(["sweep", "--instance", _golden("conjunction_theta1.json"),
+                 "--n-from", "2", "--n-to", "3", "--output", str(unwritable)])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not unwritable.exists()
+    code = main(["fit", "--family", "exp_decay", "--input", str(tmp_path)])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Stdout format: each command's text rebuilt from the library's extremes
+# ---------------------------------------------------------------------------
+
+
+def _extremes_report(extremes) -> dict:
+    def side(value, stderr, witness):
+        out = {"value": float(value)}
+        if isinstance(value, Fraction):
+            out["exact"] = format_rational(value)
+        return {**out, "stderr": stderr, "witness": list(witness.counts)}
+
+    return {
+        "n": extremes.n,
+        "mode": extremes.mode,
+        "max": side(extremes.max_probability, extremes.max_stderr, extremes.max_witness),
+        "min": side(extremes.min_probability, extremes.min_stderr, extremes.min_witness),
+    }
+
+
+def _sweep_csv(inst, values, mode, seed, trials=DEFAULT_TRIALS) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for n in values:
+        row_seed = int(np.random.SeedSequence(entropy=(seed, n)).generate_state(1)[0])
+        ext = smoothed_extremes(inst.distributions, n, inst.rule, inst.agenda,
+                                mode=mode, trials=trials, seed=row_seed)
+        writer.writerow([
+            str(n), repr(float(ext.max_probability)), repr(float(ext.max_stderr)),
+            repr(float(ext.min_probability)), repr(float(ext.min_stderr)),
+            ";".join(map(str, ext.max_witness.counts)),
+            ";".join(map(str, ext.min_witness.counts)), ext.mode,
+        ])
+    return buffer.getvalue()
+
+
+def test_cli_stdout_is_the_library_result_in_a_fixed_format(
+    capsys, theta1_instance, expsmall_instance, mirror_instance
+):
+    inst, path = theta1_instance, _golden("conjunction_theta1.json")
+    for n, value_mode in ((7, "auto"), (5, "rational")):
+        assert main(["exact", "--instance", path, "--n", str(n), "--value-mode", value_mode]) == 0
+        ext = smoothed_extremes(inst.distributions, n, inst.rule, inst.agenda,
+                                mode="exact", value_mode=value_mode)
+        expected = {"label": inst.label, **_extremes_report(ext)}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    assert main(["mc", "--instance", path, "--n", "5", "--trials", "3000", "--seed", "4"]) == 0
+    ext = smoothed_extremes(inst.distributions, 5, inst.rule, inst.agenda,
+                            mode="mc", trials=3000, seed=4)
+    expected = {"label": inst.label, "trials": 3000, "seed": 4, **_extremes_report(ext)}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    assert main(["sweep", "--instance", _golden("conjunction_expsmall.json"),
+                 "--n-from", "4", "--n-to", "16", "--step", "3"]) == 0
+    expected = _sweep_csv(expsmall_instance, range(4, 17, 3), "exact", 0)
+    assert capsys.readouterr().out == expected
+
+    assert main(["sweep", "--instance", _golden("single_premise_mirror.json"),
+                 "--n-from", "2", "--n-to", "9", "--parity", "odd",
+                 "--mode", "mc", "--trials", "2000", "--seed", "5"]) == 0
+    expected = _sweep_csv(mirror_instance, (3, 5, 7, 9), "mc", 5, trials=2000)
+    assert capsys.readouterr().out == expected

@@ -335,10 +335,14 @@ def test_single_member_auto_extremes_follow_the_extremes_type():
 
 
 def test_mirror_extremes_vanish_at_odd_n():
+    # at odd n every assignment has probability 0, so all n + 1 assignments tie
+    # for both extremes and each witness is the lexicographically smallest, (0, n)
     for n in (3, 9, 15):
-        extremes = smoothed_extremes(MIRROR_SET, n, MIRROR_RULE, MIRROR, mode="exact")
-        assert extremes.max_probability == 0.0
-        assert extremes.min_probability == 0.0
+        for kwargs in ({"mode": "exact"}, {"mode": "exact", "value_mode": "rational"},
+                       {"mode": "mc", "trials": 500, "seed": n}):
+            extremes = smoothed_extremes(MIRROR_SET, n, MIRROR_RULE, MIRROR, **kwargs)
+            assert extremes.max_probability == extremes.min_probability == 0
+            assert extremes.max_witness == extremes.min_witness == Assignment((0, n))
     even = smoothed_extremes(MIRROR_SET, 8, MIRROR_RULE, MIRROR, mode="exact")
     assert even.min_probability > 0.0
     assert even.min_probability <= even.max_probability
