@@ -9,9 +9,12 @@ histograms.
 
 Every count grid of the package covers, after k of n votes, the two-sided
 windows of :func:`count_windows` and grows by the one-agent step
-:func:`_grid_step`; its adjoint :func:`_absorb_step` takes a grid of values
-one agent back. The last grid sits in the table of outcome vectors at
-:func:`outcome_slices`.
+:func:`_grid_step`, run from the unit grid by :func:`final_count_grid`; its
+adjoint :func:`_absorb_step` takes a grid of values one agent back. The last
+grid sits in the table of outcome vectors at :func:`outcome_slices`, and
+:func:`paradox_table`, the one interface between count grids and verdicts,
+marks the table's inconsistent outcomes for the κ checks, the exact
+probabilities and Monte Carlo alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, charge
 from .model import (
     Agenda,
     Histogram,
@@ -149,6 +152,21 @@ def _grid_step(
     return new[tuple(slice(lo2 - lo, hi2 - lo + 1) for (lo, _), (lo2, hi2) in zip(before, after))]
 
 
+def final_count_grid(agents: Sequence[Sequence], patterns: Sequence[tuple[int, ...]],
+                     rule: QuotaRule, dtype: type, state_budget: int) -> np.ndarray:
+    """The count grid after the n = len(agents) agents of weights ``agents[k]``.
+
+    :func:`_grid_step` from the unit grid over :func:`count_windows`, its largest
+    window charged first: with True weights on bool it marks reachable counts.
+    """
+    windows = count_windows(rule, len(agents))
+    charge("count grid", max(map(window_cells, windows)), state_budget)
+    grid = np.ones((1,) * rule.propositions, dtype=dtype)
+    for weights, before, after in zip(agents, windows, windows[1:]):
+        grid = _grid_step(grid, weights, patterns, before, after)
+    return grid
+
+
 def _absorb_step(
     values: np.ndarray,
     weights: Sequence,
@@ -201,14 +219,14 @@ def is_consistent(alpha: Sequence[int], agenda: Agenda) -> bool:
     return alpha[agenda.p] == agenda.conclusion(alpha[: agenda.p])
 
 
+def paradox_table(agenda: Agenda) -> np.ndarray:
+    """Boolean table over the 2^(p+1) outcome vectors: True where alpha is inconsistent."""
+    return np.not_equal.outer(np.reshape(agenda.truth_table, (2,) * agenda.p), (0, 1))
+
+
 def inconsistent_outcomes(agenda: Agenda) -> tuple[OutcomeVector, ...]:
     """All outcome vectors violating the agenda's truth table, in index order."""
-    out = []
-    for code in range(1 << (agenda.p + 1)):
-        alpha = tuple((code >> (agenda.p - k)) & 1 for k in range(agenda.p + 1))
-        if not is_consistent(alpha, agenda):
-            out.append(alpha)
-    return tuple(out)
+    return tuple(tuple(map(int, alpha)) for alpha in np.argwhere(paradox_table(agenda)))
 
 
 def is_paradox(source: Union[Profile, Histogram], rule: QuotaRule, agenda: Agenda) -> bool:

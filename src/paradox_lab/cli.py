@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -89,7 +90,7 @@ def _extremes(instance: Instance, n: int, options: dict, mode: str, seed: int) -
         seed=seed,
         value_mode=options.get("value_mode", "auto"),
         assignment_budget=options["budget_assignments"],
-        state_budget=options["budget_states"],
+        state_budget=options.get("budget_states", DEFAULT_STATE_BUDGET),
     )
 
 
@@ -210,35 +211,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance(p):
-        p.add_argument("--instance", required=True, help="instance JSON file")
+    # flags shared by several commands; each command takes the budgets it can exceed
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True, help="instance JSON file")
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--budget-states", type=int, default=DEFAULT_STATE_BUDGET,
+                        help="cap on probability/feasibility grid cells")
+    assignments = argparse.ArgumentParser(add_help=False)
+    assignments.add_argument("--budget-assignments", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
+                             help="cap on the number of distribution assignments")
 
-    def add_budgets(p):
-        p.add_argument("--budget-states", type=int, default=DEFAULT_STATE_BUDGET,
-                       help="cap on probability/feasibility grid cells")
-        p.add_argument("--budget-assignments", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
-                       help="cap on the number of distribution assignments")
-
-    p = sub.add_parser("check", help="condition flags and asymptotic classification")
-    add_instance(p)
+    p = sub.add_parser("check", parents=[instance, states],
+                       help="condition flags and asymptotic classification")
     p.add_argument("--n", type=int, required=True)
-    add_budgets(p)
 
-    p = sub.add_parser("exact", help="exact max/min paradox probability over assignments")
-    add_instance(p)
+    p = sub.add_parser("exact", parents=[instance, states, assignments],
+                       help="exact max/min paradox probability over assignments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--value-mode", choices=("auto", "rational", "float"), default="auto")
-    add_budgets(p)
 
-    p = sub.add_parser("mc", help="Monte Carlo max/min paradox probability")
-    add_instance(p)
+    p = sub.add_parser("mc", parents=[instance, assignments],
+                       help="Monte Carlo max/min paradox probability")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    add_budgets(p)
 
-    p = sub.add_parser("sweep", help="extremes over a range of n, emitted as CSV")
-    add_instance(p)
+    p = sub.add_parser("sweep", parents=[instance, states, assignments],
+                       help="extremes over a range of n, emitted as CSV")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
@@ -248,17 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-mode", choices=("auto", "rational", "float"), default="auto")
     p.add_argument("--output", help="write CSV here instead of stdout")
-    add_budgets(p)
 
     p = sub.add_parser("fit", help="fit an asymptotic curve family to sweep CSV output")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--input", required=True, help="CSV file with n and estimate columns")
     p.add_argument("--column", default="max_est", help="value column to fit (default max_est)")
 
-    p = sub.add_parser("polyhedra", help="dump the halfspace systems of all paradox outcomes")
-    add_instance(p)
+    sub.add_parser("polyhedra", parents=[instance],
+                   help="dump the halfspace systems of all paradox outcomes")
 
     return parser
+
+
+def _check_writable(path: str) -> None:
+    """Raise ValidationError unless ``path`` is a writable file or its directory can take one."""
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        directory = os.path.dirname(os.path.abspath(path))
+        writable = os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)
+    if not writable:
+        raise ValidationError("sweep.output", f"cannot write {path}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -270,9 +279,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         instance = None
         if "instance" in options:
             instance = parse_instance(options.pop("instance"))
+        output = options.get("output")
+        if output:
+            _check_writable(output)
         result = run_command(command, instance, options)
         text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
-        output = options.get("output")
         if output:
             try:
                 with open(output, "w") as handle:

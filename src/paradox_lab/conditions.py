@@ -2,9 +2,10 @@
 
 Feasibility of an outcome vector at population size n is decided exactly: it
 is one cell of the table of outcomes that n votes reach (built once per
-agenda, n and acceptance counts), grown on the count windows of
-:mod:`~paradox_lab.aggregation` one vote at a time by the same one-agent
-step as the probability convolution, with True weights. Convex-hull sign-pattern
+agenda, n and acceptance counts) by the forward chain of the probability
+convolution, :func:`~paradox_lab.aggregation.final_count_grid`, with True
+weights. The outcomes the κ conditions ask about are that table's cells
+marked by :func:`~paradox_lab.aggregation.paradox_table`. Convex-hull sign-pattern
 feasibility is decided by an exact Phase-I simplex on integer threshold gaps,
 pivoted fraction-free, whose every answer is checked: a witness must
 reproduce its pattern and an infeasible pattern must come with an integer
@@ -22,22 +23,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ResourceBudgetError
+from .errors import DimensionError, charge
 from .model import Agenda, FractionalVote, QuotaRule
 from .aggregation import (
     OutcomeVector,
     _check_rule,
-    _grid_step,
     acceptance_counts,
     count_windows,
-    inconsistent_outcomes,
+    final_count_grid,
     outcome_slices,
+    paradox_table,
     proposition_patterns,
     window_cells,
 )
 
 #: Sign pattern over the p+1 propositions: +1 (above threshold), 0 (tied), -1.
 SignPattern = tuple[int, ...]
+
+#: The verdicts a sign allows on its proposition, as a slice of an outcome-table axis.
+_SIGN_BOX = {1: slice(1, 2), 0: slice(0, 2), -1: slice(0, 1)}
 
 DEFAULT_STATE_BUDGET = 60_000_000
 
@@ -106,16 +110,15 @@ def refinements(
     On every proposition where pi is not tied the entry is forced; tied
     propositions may take either value.
     """
-    pattern = sign_pattern_of(pi, rule, agenda)
-    options = [(1,) if s > 0 else (0,) if s < 0 else (0, 1) for s in pattern]
-    return frozenset(product(*options))
+    boxes = [_SIGN_BOX[s] for s in sign_pattern_of(pi, rule, agenda)]
+    return frozenset(product(*(range(box.start, box.stop) for box in boxes)))
 
 
 # ---------------------------------------------------------------------------
 # Outcome feasibility over integer histograms
 # ---------------------------------------------------------------------------
 
-_reach_cache: dict[tuple, tuple[int, np.ndarray]] = {}
+_reach_cache: dict[tuple, np.ndarray] = {}
 _CACHE_LIMIT = 32
 
 
@@ -141,25 +144,17 @@ def reachable_counts(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_rule(rule, agenda)
+    # charged before the lookup, so a cached table is charged as a new one is
+    charge("feasibility grid", max(map(window_cells, count_windows(rule, n))), state_budget)
     # the acceptance counts fix every window; a cap min(a_i, n) would not
-    key = (agenda.p, agenda.truth_table, n, tuple(acceptance_counts(rule, n)))
-    cells, table = _reach_cache.get(key, (0, None))
-    if table is None:
-        windows = count_windows(rule, n)
-        cells = max(map(window_cells, windows))
-    if cells > state_budget:
-        raise ResourceBudgetError(
-            "feasibility grid too large", required=cells, budget=state_budget
-        )
-    if table is None:
-        patterns = proposition_patterns(agenda)
-        layer = np.ones((1,) * (agenda.p + 1), dtype=bool)
-        for before, after in zip(windows, windows[1:]):
-            layer = _grid_step(layer, (True,) * agenda.m, patterns, before, after)
+    key = (agenda, n, tuple(acceptance_counts(rule, n)))
+    if key not in _reach_cache:
         table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
-        table[outcome_slices(rule, n)] = layer
-        _remember(_reach_cache, key, (cells, table))
-    return table
+        table[outcome_slices(rule, n)] = final_count_grid(
+            [(True,) * agenda.m] * n, proposition_patterns(agenda), rule, bool, state_budget
+        )
+        _remember(_reach_cache, key, table)
+    return _reach_cache[key]
 
 
 def outcome_feasible(
@@ -201,7 +196,7 @@ def check_kappa1(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> bool:
     """True iff no profile of n votes aggregates to an inconsistent outcome."""
-    return not _feasible_inconsistent(n, rule, agenda, state_budget)
+    return not _reachable_paradoxes(n, rule, agenda, state_budget).any()
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +345,9 @@ def feasible_sign_pattern(
 # ---------------------------------------------------------------------------
 
 
-def _pattern_allows(alpha: OutcomeVector, beta: SignPattern) -> bool:
-    return all(
-        (s == 0) or (s > 0 and a == 1) or (s < 0 and a == 0)
-        for a, s in zip(alpha, beta)
-    )
-
-
-def _feasible_inconsistent(
-    n: int, rule: QuotaRule, agenda: Agenda, state_budget: int
-) -> list[OutcomeVector]:
-    reachable = reachable_counts(n, rule, agenda, state_budget=state_budget)
-    return [alpha for alpha in inconsistent_outcomes(agenda) if reachable[alpha]]
+def _reachable_paradoxes(n: int, rule: QuotaRule, agenda: Agenda, state_budget: int) -> np.ndarray:
+    """Boolean table of the inconsistent outcomes that n votes reach."""
+    return paradox_table(agenda) & reachable_counts(n, rule, agenda, state_budget=state_budget)
 
 
 def check_kappa2(
@@ -380,7 +366,7 @@ def check_kappa2(
     the answer stabilizes once n exceeds a small instance-dependent bound
     (observable by sweeping n, not assumed here).
     """
-    bad = _feasible_inconsistent(n, rule, agenda, state_budget)
+    bad = _reachable_paradoxes(n, rule, agenda, state_budget)
     return not _some_pattern_feasible(bad, True, dists, rule, agenda)
 
 
@@ -393,12 +379,12 @@ def check_kappa3(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> bool:
     """True iff some reachable distribution has only consistent effective refinements."""
-    bad = _feasible_inconsistent(n, rule, agenda, state_budget)
+    bad = _reachable_paradoxes(n, rule, agenda, state_budget)
     return _some_pattern_feasible(bad, False, dists, rule, agenda)
 
 
 def _some_pattern_feasible(
-    bad: list[OutcomeVector],
+    bad: np.ndarray,
     touches_bad: bool,
     dists: DistributionSet,
     rule: QuotaRule,
@@ -408,7 +394,7 @@ def _some_pattern_feasible(
     return any(
         feasible_sign_pattern(beta, dists, rule, agenda)
         for beta in product((1, 0, -1), repeat=agenda.p + 1)
-        if any(_pattern_allows(alpha, beta) for alpha in bad) == touches_bad
+        if bad[tuple(_SIGN_BOX[s] for s in beta)].any() == touches_bad
     )
 
 
@@ -420,13 +406,13 @@ def check_kappa4(rule: QuotaRule, agenda: Agenda) -> bool:
     the conclusion threshold equals 1 - q_i.
     """
     _check_rule(rule, agenda)
+    # column i of the judgements' patterns is proposition i+1 over all judgements
+    *premises, conclusion = zip(*proposition_patterns(agenda))
     q_conclusion = rule.thresholds[agenda.p]
-    for i in range(1, agenda.p + 1):
-        proj = tuple((j >> (agenda.p - i)) & 1 for j in range(agenda.m))
-        if agenda.truth_table == proj and q_conclusion == rule.thresholds[i - 1]:
+    for premise, q in zip(premises, rule.thresholds):
+        if conclusion == premise and q_conclusion == q:
             return True
-        negated = tuple(1 - v for v in proj)
-        if agenda.truth_table == negated and q_conclusion == 1 - rule.thresholds[i - 1]:
+        if conclusion == tuple(1 - v for v in premise) and q_conclusion == 1 - q:
             return True
     return False
 
@@ -446,9 +432,9 @@ def kappa_conditions(
     and are reported as false; the standalone checkers keep their literal
     definitions.
     """
-    bad = _feasible_inconsistent(n, rule, agenda, state_budget)
+    bad = _reachable_paradoxes(n, rule, agenda, state_budget)
     k4 = check_kappa4(rule, agenda)
-    if not bad:
+    if not bad.any():
         return (True, False, False, k4)
     k2 = not _some_pattern_feasible(bad, True, dists, rule, agenda)
     k3 = k2 or _some_pattern_feasible(bad, False, dists, rule, agenda)

@@ -26,5 +26,11 @@ class ResourceBudgetError(RuntimeError):
         super().__init__(f"{message} (required {required}, budget {budget})")
 
 
+def charge(what: str, required: int, budget: int) -> None:
+    """The package's one budget check: a ResourceBudgetError when required > budget."""
+    if required > budget:
+        raise ResourceBudgetError(f"{what} over budget", required=required, budget=budget)
+
+
 class FitError(RuntimeError):
     """Curve fitting did not converge within the iteration cap."""

@@ -5,9 +5,10 @@ probability depends on a distribution assignment only through its counts, and
 on a profile only through its per-proposition support counts, and on each
 count only through whether it reaches its acceptance count. Exact
 probabilities therefore convolve one agent at a time, by
-:func:`~paradox_lab.aggregation._grid_step`, over the two-sided count windows
-of :func:`~paradox_lab.aggregation.count_windows`, from the single zero
-vector to the law of the outcome vector after all n agents. The rational
+:func:`~paradox_lab.aggregation.final_count_grid`, from the single zero
+vector to the law of the outcome vector after all n agents, and sum it over
+the outcomes that :func:`~paradox_lab.aggregation.paradox_table` marks;
+Monte Carlo reads its verdicts from the same table. The rational
 engine runs that kernel on Python-int numerators: member k's weights become
 integers over D_k, the least common denominator of its weights, and the
 common denominator prod_k D_k^(c_k) is applied once at the end. The float
@@ -27,6 +28,7 @@ computed once, and the other members' counts are walked depth-first (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +36,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, ResourceBudgetError
+from .errors import DimensionError, charge
 from .model import Agenda, QuotaRule
 from .aggregation import (
     Window,
@@ -43,8 +45,9 @@ from .aggregation import (
     _grid_step,
     acceptance_counts,
     count_windows,
-    inconsistent_outcomes,
+    final_count_grid,
     outcome_slices,
+    paradox_table,
     proposition_patterns,
     window_cells,
 )
@@ -86,7 +89,8 @@ class Assignment:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        # operator.index refuses a float rather than truncate it
+        counts = tuple(operator.index(c) for c in self.counts)
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError("assignment counts must be non-negative")
@@ -147,14 +151,6 @@ def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> No
     _check_rule(rule, agenda)
     if dists.m != agenda.m:
         raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
-
-
-def _paradox_indicator(rule: QuotaRule, agenda: Agenda, n: int) -> np.ndarray:
-    """Boolean count grid after all n agents marking inconsistent quota outcomes."""
-    table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
-    for alpha in inconsistent_outcomes(agenda):
-        table[alpha] = True
-    return table[outcome_slices(rule, n)]
 
 
 def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
@@ -284,9 +280,9 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    Both engines convolve over the count grids of
-    :func:`~paradox_lab.aggregation.count_windows`, and ``state_budget``
-    caps the cells of the largest one. The number type is
+    Both engines convolve by
+    :func:`~paradox_lab.aggregation.final_count_grid`, and ``state_budget``
+    caps the cells of its largest grid. The number type is
     :func:`_number_type`'s, the same as :func:`smoothed_extremes` runs at
     this n: ``'rational'`` returns
     an exact fraction, ``'float'`` a float checked against
@@ -295,21 +291,11 @@ def exact_paradox_probability(
     assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
     n = assignment.n
-    p = agenda.p
-    windows = count_windows(rule, n)
-    cells = max(map(window_cells, windows))
-    if cells > state_budget:
-        raise ResourceBudgetError(
-            "probability grid too large", required=cells, budget=state_budget
-        )
     dtype, weights, lcds = _number_type(dists, n, value_mode)
-    patterns = proposition_patterns(agenda)
-    grid = np.ones((1,) * (p + 1), dtype=dtype)
     agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
-    for agent_weights, before, after in zip(agents, windows, windows[1:]):
-        grid = _grid_step(grid, agent_weights, patterns, before, after)
-    mass = (grid * _paradox_indicator(rule, agenda, n)).sum()
-    return _results([mass], [assignment.counts], dtype, lcds, n, p)[0]
+    grid = final_count_grid(agents, proposition_patterns(agenda), rule, dtype, state_budget)
+    mass = (grid * paradox_table(agenda)[outcome_slices(rule, n)]).sum()
+    return _results([mass], [assignment.counts], dtype, lcds, n, agenda.p)[0]
 
 
 def histogram_distribution(
@@ -382,8 +368,9 @@ def monte_carlo_estimate(
 
     chi = np.array(proposition_patterns(agenda), dtype=np.int64)
     accept = np.array(acceptance_counts(rule, n), dtype=np.int64)
-    truth = np.array(agenda.truth_table, dtype=np.int64)
-    powers = 1 << np.arange(agenda.p - 1, -1, -1)
+    # the row-major place of each verdict in the outcome table
+    place = 1 << np.arange(agenda.p, -1, -1)
+    paradox = paradox_table(agenda).ravel()
 
     pvals = []
     for member in dists.members:
@@ -400,9 +387,7 @@ def monte_carlo_estimate(
                 continue
             draws = rng.multinomial(count, member_pvals, size=chunk)
             support += draws @ chi
-        verdict = support >= accept
-        index = verdict[:, : agenda.p].astype(np.int64) @ powers
-        hits += int((truth[index] != verdict[:, agenda.p]).sum())
+        hits += int(paradox[(support >= accept) @ place].sum())
         done += chunk
 
     estimate = hits / trials
@@ -469,11 +454,8 @@ def _exact_assignment_probabilities(
     entries = max(cells)
     if dists.size > 1:
         entries = sum(cells) + (dists.size - 2) * max(cells)
-    if entries > state_budget:
-        raise ResourceBudgetError(
-            "exact-extremes state grid too large", required=entries, budget=state_budget
-        )
-    absorb = [_paradox_indicator(rule, agenda, n).astype(dtype)]
+    charge("assignment tree", entries, state_budget)
+    absorb = [paradox_table(agenda)[outcome_slices(rule, n)].astype(dtype)]
     for before, after in reversed(list(zip(windows, windows[1:]))):
         absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
         if dists.size == 1:
@@ -514,13 +496,7 @@ def smoothed_extremes(
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     ell = dists.size
-    total_assignments = math.comb(n + ell - 1, ell - 1)
-    if total_assignments > assignment_budget:
-        raise ResourceBudgetError(
-            "too many distribution assignments",
-            required=total_assignments,
-            budget=assignment_budget,
-        )
+    charge("distribution assignments", math.comb(n + ell - 1, ell - 1), assignment_budget)
 
     if mode == "exact":
         evaluated = [

@@ -23,6 +23,7 @@ from paradox_lab.aggregation import (
     count_verdict,
     count_windows,
     outcome_slices,
+    paradox_table,
 )
 from paradox_lab.conditions import outcome_feasible, reachable_counts
 
@@ -77,6 +78,18 @@ def test_is_consistent():
 def test_inconsistent_outcomes_count():
     assert len(inconsistent_outcomes(AND2)) == 4
     assert (1, 1, 0) in inconsistent_outcomes(AND2)
+
+
+def test_paradox_table_marks_inconsistent_outcomes():
+    rng = random.Random(15)
+    for p in (1, 2, 3, 4):
+        for _ in range(5):
+            agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+            table = paradox_table(agenda)
+            assert table.shape == (2,) * (p + 1) and table.dtype == bool
+            for code in range(1 << (p + 1)):
+                alpha = tuple((code >> (p - k)) & 1 for k in range(p + 1))
+                assert table[alpha] == (not is_consistent(alpha, agenda)), (agenda, alpha)
 
 
 def test_table_profile_is_paradox():

@@ -10,6 +10,7 @@ from paradox_lab import ValidationError, parse_instance, parse_instance_dict, sm
 from paradox_lab.instances import instance_to_dict, write_instance
 from paradox_lab.likelihood import DEFAULT_TRIALS
 from paradox_lab.model import format_rational
+from paradox_lab import cli
 from paradox_lab.cli import CSV_HEADER, main
 
 from conftest import INSTANCE_DIR
@@ -282,6 +283,16 @@ def test_cli_resource_exit_code(capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("check", "--budget-assignments"),
+                                           ("mc", "--budget-states")])
+def test_cli_removed_budget_flags_exit_2(command, flag, capsys):
+    # check builds no assignment and Monte Carlo no grid, so neither takes that budget
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", _golden("conjunction_theta1.json"), "--n", "3", flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_fit_error_exit_codes(tmp_path, capsys):
     csv_path = tmp_path / "series.csv"
     csv_path.write_text("n,max_est\n1,0.5\n2,0.4\n3,0.3\n")
@@ -298,13 +309,18 @@ def test_cli_sweep_rejects_step_zero(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def test_cli_io_errors_exit_2(tmp_path, capsys):
-    unwritable = tmp_path / "missing-dir" / "sweep.csv"
-    code = main(["sweep", "--instance", _golden("conjunction_theta1.json"),
-                 "--n-from", "2", "--n-to", "3", "--output", str(unwritable)])
-    assert code == 2
-    assert "validation error" in capsys.readouterr().err
-    assert not unwritable.exists()
+def test_cli_io_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # the destination is checked before the first row: no row runs
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sweep row ran before the output was checked")
+
+    monkeypatch.setattr(cli, "smoothed_extremes", no_rows)
+    for unwritable in (tmp_path / "missing-dir" / "sweep.csv", tmp_path):
+        code = main(["sweep", "--instance", _golden("conjunction_theta1.json"),
+                     "--n-from", "2", "--n-to", "3", "--output", str(unwritable)])
+        assert code == 2
+        assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "missing-dir").exists()
     code = main(["fit", "--family", "exp_decay", "--input", str(tmp_path)])
     assert code == 2
     assert "validation error" in capsys.readouterr().err

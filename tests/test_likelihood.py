@@ -202,7 +202,7 @@ def test_histogram_distribution_is_a_law():
     assert all(sum(h) == 3 for h in law.probabilities)
 
 
-def test_two_block_matches_per_assignment():
+def test_assignment_tree_float_matches_rational():
     for n in (10, 11, 13):
         fast = smoothed_extremes(THETA1, n, MAJ, AND2, mode="exact")
         slow = smoothed_extremes(THETA1, n, MAJ, AND2, mode="exact", value_mode="rational")
@@ -409,7 +409,7 @@ def test_float_dtype_guard_boundary(rows, n, dtype):
         pytest.param("three_majority_instance", (), (10, 12), id="three_majority_instance"),
     ],
 )
-def test_two_block_error_within_bound(name, extra, ns, request):
+def test_assignment_tree_error_within_bound(name, extra, ns, request):
     # every assignment of the assignment tree against its exact probability,
     # to within the tree's own forward-error bound
     inst = request.getfixturevalue(name)
@@ -590,6 +590,11 @@ def test_assignment_validation():
     with pytest.raises(ValueError):
         Assignment((-1, 2))
     assert Assignment((2, 3)).n == 5
+    # a non-integral count is refused, not truncated to (1, 2)
+    with pytest.raises(TypeError):
+        Assignment((1.9, 2.9))
+    with pytest.raises(TypeError):
+        exact_paradox_probability((1.9, 2.9), THETA1, MAJ, AND2)
 
 
 def test_compositions_cover_and_order():
