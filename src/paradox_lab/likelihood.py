@@ -8,7 +8,10 @@ probabilities therefore convolve one agent at a time, by
 :func:`~paradox_lab.aggregation.final_count_grid`, from the single zero
 vector to the law of the outcome vector after all n agents, and sum it over
 the outcomes that :func:`~paradox_lab.aggregation.paradox_table` marks;
-Monte Carlo reads its verdicts from the same table. The rational
+Monte Carlo reads its verdicts from the same table, and all assignments
+share each member's sampled agents (see :func:`monte_carlo_estimate`), so
+estimates are correlated across assignments while each stays unbiased with
+the same Wald standard error. The rational
 engine runs that kernel on Python-int numerators: member k's weights become
 integers over D_k, the least common denominator of its weights, and the
 common denominator prod_k D_k^(c_k) is applied once at the end. The float
@@ -27,6 +30,7 @@ computed once, and the other members' counts are walked depth-first (see
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +65,8 @@ _AUTO_FLOAT_MIN_N = 10
 # 1022 - 53: a product of weights at least 2^-969 lies 53 bits above the
 # smallest normal float64, so every rounding near it stays within eps/2 relative
 _FLOAT64_RANGE_BITS = 969
-_MC_CHUNK = 1 << 17
+# counts one Monte Carlo chunk holds per member: trials * (n + 1) * (p + 1)
+_MC_CHUNK_CELLS = 1 << 19
 
 
 class Rate(str, Enum):
@@ -325,74 +330,72 @@ def histogram_distribution(
 # ---------------------------------------------------------------------------
 
 
-def assignment_seed(master_seed: int, assignment_index: int) -> np.random.SeedSequence:
-    """Generator seed for one assignment: SeedSequence(master, spawn_key=(index,)).
-
-    The index is the assignment's position in the lexicographic enumeration of
-    count vectors, so streams are independent across assignments yet fully
-    reproducible from the master seed.
-    """
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(assignment_index,))
-
-
 def monte_carlo_estimate(
-    assignment: Union[Assignment, Sequence[int]],
+    assignment: Union[Assignment, Sequence[int], Sequence[Sequence[int]]],
     dists: DistributionSet,
     n: int,
     rule: QuotaRule,
     agenda: Agenda,
     trials: int = DEFAULT_TRIALS,
-    seed: Union[int, np.random.SeedSequence] = 0,
-) -> tuple[float, float]:
+    seed: int = 0,
+) -> tuple:
     """Paradox frequency over i.i.d. sampled profiles, with binomial standard error.
 
     The standard error is the Wald estimate sqrt(p_hat * (1 - p_hat) / trials).
     It is 0.0 when no trial, or every trial, is a paradox, so it is no bound
-    for rare events.
+    for rare events. ``assignment`` may also be a list of count vectors, as
+    Monte Carlo :func:`smoothed_extremes` passes all of them; estimates and
+    errors then come back as two arrays in that order.
 
-    The generator stream is fully determined by the seed; identical
-    (seed, trials, instance) inputs reproduce the estimate bit for bit.
-    Sampling probabilities are float-rounded, but every verdict on a sampled
-    integer histogram compares its support counts against the exact
-    acceptance counts of :func:`~paradox_lab.aggregation.acceptance_count`.
+    All assignments share the sampled agents. Per chunk j of trials, member k
+    draws its most agents once from SeedSequence(seed, spawn_key=(k, j)), one
+    uniform per agent, agent-major, against its float CDF (a zero weight is
+    never drawn), so its first c agents do not depend on how many it draws:
+    an assignment's estimate is the same, bit for bit, alone or in any list.
+    Per proposition it keeps the support after 0..c agents; an assignment's
+    support sums each member's at c_k, an integer compared with the exact
+    :func:`~paradox_lab.aggregation.acceptance_count`, and the verdicts index
+    the outcome table.
     """
-    assignment = _as_assignment(assignment, dists)
+    many = np.ndim(assignment) == 2
+    assignments = [_as_assignment(a, dists) for a in (assignment if many else [assignment])]
     _check_inputs(dists, rule, agenda)
-    if assignment.n != n:
-        raise ValueError(f"assignment totals {assignment.n} agents, expected n={n}")
+    for a in assignments:
+        if a.n != n:
+            raise ValueError(f"assignment totals {a.n} agents, expected n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
-
-    chi = np.array(proposition_patterns(agenda), dtype=np.int64)
-    accept = np.array(acceptance_counts(rule, n), dtype=np.int64)
-    # the row-major place of each verdict in the outcome table
-    place = 1 << np.arange(agenda.p, -1, -1)
+    counts = np.array([a.counts for a in assignments], dtype=np.intp)
+    dtype = np.min_scalar_type(n + 1)
+    chi = np.array(proposition_patterns(agenda), dtype=dtype).T
     paradox = paradox_table(agenda).ravel()
-
-    pvals = []
-    for member in dists.members:
-        vec = np.array([float(w) for w in member.weights], dtype=np.float64)
-        pvals.append(vec / vec.sum())
-
-    hits = 0
-    done = 0
-    while done < trials:
-        chunk = min(_MC_CHUNK, trials - done)
-        support = np.zeros((chunk, agenda.p + 1), dtype=np.int64)
-        for count, member_pvals in zip(assignment.counts, pvals):
-            if count == 0:
-                continue
-            draws = rng.multinomial(count, member_pvals, size=chunk)
-            support += draws @ chi
-        hits += int(paradox[(support >= accept) @ place].sum())
-        done += chunk
-
-    estimate = hits / trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return estimate, stderr
+    # the exact cumulative weights, rounded: the last positive weight ends at 1.0
+    cdfs = [[float(c) for c in itertools.accumulate(m.weights)][:-1] for m in dists.members]
+    step = max(1, _MC_CHUNK_CELLS // ((n + 1) * (agenda.p + 1)))
+    hits = np.zeros(len(counts), dtype=np.int64)
+    for j, start in enumerate(range(0, trials, step)):
+        size = min(step, trials - start)
+        prefixes = []
+        for k, cdf in enumerate(cdfs):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, j)))
+            drawn = rng.random((counts[:, k].max(), size))
+            # propositions x agents x trials: each drawn agent's support bits
+            drawn = np.take(chi, np.searchsorted(cdf, drawn, side="right"), axis=1)
+            prefixes.append(np.zeros((drawn.shape[1] + 1, agenda.p + 1, size), dtype=dtype))
+            for c in range(drawn.shape[1]):
+                np.add(prefixes[k][c], drawn[:, c], out=prefixes[k][c + 1])
+        for first in range(0, len(counts), n + 1):
+            rows = counts[first : first + n + 1]
+            support = sum(prefix[rows[:, k]] for k, prefix in enumerate(prefixes))
+            # the row-major place of each outcome vector in the outcome table
+            place = np.zeros((len(rows), size), dtype=np.min_scalar_type(paradox.size - 1))
+            for i, a in enumerate(acceptance_counts(rule, n)):
+                place <<= 1
+                place |= support[:, i] >= a
+            hits[first : first + n + 1] += paradox[place].sum(axis=1)
+    estimates = hits / trials
+    stderrs = np.sqrt(estimates * (1.0 - estimates) / trials)
+    return (estimates, stderrs) if many else (float(estimates[0]), float(stderrs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +490,8 @@ def smoothed_extremes(
     """Max and min paradox probability over every distribution assignment.
 
     Ties between assignments are broken toward the lexicographically smallest
-    count vector, so witnesses are deterministic. In Monte Carlo mode each
-    assignment gets its own generator stream via :func:`assignment_seed`.
+    count vector, so witnesses are deterministic. In Monte Carlo mode all
+    assignments share each member's sampled agents (see :func:`monte_carlo_estimate`).
     """
     _check_inputs(dists, rule, agenda)
     if n < 1:
@@ -506,12 +509,9 @@ def smoothed_extremes(
             )
         ]
     else:
-        evaluated = []
-        for index, counts in enumerate(compositions(n, ell)):
-            est, se = monte_carlo_estimate(
-                counts, dists, n, rule, agenda, trials, assignment_seed(seed, index)
-            )
-            evaluated.append((counts, est, se))
+        counts_list = list(compositions(n, ell))
+        estimates, stderrs = monte_carlo_estimate(counts_list, dists, n, rule, agenda, trials, seed)
+        evaluated = list(zip(counts_list, estimates.tolist(), stderrs.tolist()))
 
     # both engines list assignments lexicographically, and max/min return the
     # first extreme they meet

@@ -533,6 +533,57 @@ def test_mc_extremes_have_stderr_and_witnesses():
     assert again.min_probability == extremes.min_probability
 
 
+TRIO = _dists(["1/4"] * 4, ["1/25", "8/25", "8/25", "8/25"], ["1/10", "1/10", "1/10", "7/10"])
+
+
+@pytest.mark.parametrize("dists, n, rule, agenda", [
+    (TRIO, 5, MAJ, AND2),
+    (MIRROR_SET, 5, MIRROR_RULE, MIRROR),
+    (MIRROR_SET, 6, MIRROR_RULE, MIRROR),
+])
+def test_mc_extremes_equal_the_single_assignment_estimate(dists, n, rule, agenda):
+    # all assignments share each member's draws, and member k's first c
+    # agents do not depend on how many it draws, so one assignment's
+    # estimate is the extremes' estimate of it, bit for bit
+    for seed in (0, 1, 2):
+        extremes = smoothed_extremes(dists, n, rule, agenda, mode="mc", trials=3000, seed=seed)
+        for side in ("max", "min"):
+            witness = getattr(extremes, f"{side}_witness")
+            alone = monte_carlo_estimate(witness, dists, n, rule, agenda, trials=3000, seed=seed)
+            assert alone == (getattr(extremes, f"{side}_probability"),
+                             getattr(extremes, f"{side}_stderr"))
+
+
+def test_mc_never_draws_a_zero_weight():
+    # judgement 1 (premise 2 only) has weight 0 between positive weights; at
+    # odd n a premise-2 majority without a conclusion majority needs it, so
+    # every assignment's probability is 0 and so must every estimate be
+    zero_between = _dists(["1/3", "0", "1/3", "1/3"], ["1/10", "0", "1/10", "4/5"])
+    positive = _dists(["3/10", "1/10", "3/10", "3/10"], ["1/10", "1/10", "1/10", "7/10"])
+    for n in (3, 5, 7):
+        assert exact_paradox_probability((n, 0), positive, MAJ, AND2) > 0
+        for counts in compositions(n, 2):
+            assert exact_paradox_probability(counts, zero_between, MAJ, AND2) == 0
+            assert monte_carlo_estimate(counts, zero_between, n, MAJ, AND2,
+                                        trials=5000, seed=n) == (0.0, 0.0)
+        extremes = smoothed_extremes(zero_between, n, MAJ, AND2, mode="mc", trials=5000, seed=n)
+        assert extremes.max_probability == 0.0
+
+
+def test_mc_every_assignment_within_four_standard_errors():
+    # every assignment estimated from one shared draw, as the extremes do,
+    # stays unbiased with its own Wald error; the allowance is the error the
+    # exact probability implies, so a zero probability must estimate 0.0
+    n, trials = 5, 20_000
+    counts_list = list(compositions(n, TRIO.size))
+    estimates, stderrs = monte_carlo_estimate(counts_list, TRIO, n, MAJ, AND2, trials, 11)
+    for counts, estimate, stderr in zip(counts_list, estimates, stderrs):
+        exact = exact_paradox_probability(counts, TRIO, MAJ, AND2, value_mode="rational")
+        assert stderr == math.sqrt(estimate * (1 - estimate) / trials)
+        se = math.sqrt(float(exact * (1 - exact)) / trials)
+        assert abs(estimate - float(exact)) <= 4 * se, (counts, estimate, exact)
+
+
 def test_constant_instance_min_fit_parameters():
     # the odd-n minimum series approaches its quarter-level plateau
     # exponentially; freeze the fitted parameters against known-good values
