@@ -32,7 +32,7 @@ from .model import (
     Profile,
     QuotaRule,
     histogram,
-    omega_indices,
+    judgements,
 )
 
 #: A joint verdict on all premises and the conclusion, length p+1.
@@ -52,18 +52,22 @@ def proposition_patterns(agenda: Agenda) -> tuple[tuple[int, ...], ...]:
     Entry j is the vector (premise bits of judgement j, conclusion of j); a
     histogram's support counts are its weights dotted with these patterns.
     """
-    rows = []
-    for j in range(agenda.m):
-        bits = tuple((j >> (agenda.p - 1 - k)) & 1 for k in range(agenda.p))
-        rows.append(bits + (agenda.truth_table[j],))
-    return tuple(rows)
+    return tuple(w + (c,) for w, c in zip(judgements(agenda.p), agenda.truth_table))
+
+
+def _proposition_column(i: int, agenda: Agenda) -> tuple[int, ...]:
+    """Column i (1-based; p+1 is the conclusion) of :func:`proposition_patterns`."""
+    if not 1 <= i <= agenda.p + 1:
+        raise ValueError(f"proposition index {i} out of range [1, {agenda.p + 1}]")
+    return tuple(pattern[i - 1] for pattern in proposition_patterns(agenda))
 
 
 def proposition_weight(h: Histogram, i: int, agenda: Agenda) -> Fraction:
     """Total weight of agents whose i-th judgement is 1 (conclusion for i = p+1)."""
     if h.m != agenda.m:
         raise DimensionError(f"histogram length {h.m} != agenda m {agenda.m}")
-    return sum((h.weights[j] for j in omega_indices(i, agenda)), Fraction(0))
+    column = _proposition_column(i, agenda)
+    return sum((w for w, bit in zip(h.weights, column) if bit), Fraction(0))
 
 
 def count_verdict(count: Fraction, total: Fraction, q: Fraction, d: int) -> int:
@@ -216,7 +220,9 @@ def is_consistent(alpha: Sequence[int], agenda: Agenda) -> bool:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != agenda.p + 1:
         raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
-    return alpha[agenda.p] == agenda.conclusion(alpha[: agenda.p])
+    if any(a not in (0, 1) for a in alpha):
+        raise ValueError("outcome entries must be 0 or 1")
+    return not paradox_table(agenda)[alpha]
 
 
 def paradox_table(agenda: Agenda) -> np.ndarray:

@@ -182,7 +182,7 @@ def _cmd_polyhedra(instance: Instance) -> dict:
                 "b": [format_rational(v) for v in poly.b],
                 "b_exact": [format_rational(v) for v in poly.b_exact],
             }
-            for poly in region.polyhedra
+            for poly in region
         ],
     }
 

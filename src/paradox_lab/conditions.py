@@ -28,6 +28,7 @@ from .model import Agenda, FractionalVote, QuotaRule
 from .aggregation import (
     OutcomeVector,
     _check_rule,
+    _proposition_column,
     acceptance_counts,
     count_windows,
     final_count_grid,
@@ -85,10 +86,8 @@ def support_probability(pi: FractionalVote, i: int, agenda: Agenda) -> Fraction:
     """Probability that a vote drawn from pi has its i-th proposition equal to 1."""
     if pi.m != agenda.m:
         raise DimensionError(f"distribution length {pi.m} != agenda m {agenda.m}")
-    patterns = proposition_patterns(agenda)
-    return sum(
-        (w for w, pat in zip(pi.weights, patterns) if pat[i - 1] == 1), Fraction(0)
-    )
+    column = _proposition_column(i, agenda)
+    return sum((w for w, bit in zip(pi.weights, column) if bit), Fraction(0))
 
 
 def sign_pattern_of(pi: FractionalVote, rule: QuotaRule, agenda: Agenda) -> SignPattern:
@@ -155,37 +154,6 @@ def reachable_counts(
         )
         _remember(_reach_cache, key, table)
     return _reach_cache[key]
-
-
-def outcome_feasible(
-    alpha: Sequence[int],
-    n: int,
-    rule: QuotaRule,
-    agenda: Agenda,
-    *,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    """True iff some profile of n (non-fractional) votes aggregates to alpha."""
-    _check_rule(rule, agenda)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != agenda.p + 1:
-        raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
-    if any(a not in (0, 1) for a in alpha):
-        raise ValueError("outcome entries must be 0 or 1")
-    return bool(reachable_counts(n, rule, agenda, state_budget=state_budget)[alpha])
-
-
-def effective_refinements(
-    pi: FractionalVote,
-    rule: QuotaRule,
-    agenda: Agenda,
-    n: int,
-    *,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> frozenset[OutcomeVector]:
-    """Refinements of pi that some n-vote profile actually aggregates to."""
-    reachable = reachable_counts(n, rule, agenda, state_budget=state_budget)
-    return frozenset(alpha for alpha in refinements(pi, rule, agenda) if reachable[alpha])
 
 
 def check_kappa1(
@@ -350,39 +318,6 @@ def _reachable_paradoxes(n: int, rule: QuotaRule, agenda: Agenda, state_budget: 
     return paradox_table(agenda) & reachable_counts(n, rule, agenda, state_budget=state_budget)
 
 
-def check_kappa2(
-    dists: DistributionSet,
-    rule: QuotaRule,
-    agenda: Agenda,
-    n: int,
-    *,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    """True iff every reachable distribution has only consistent effective refinements.
-
-    Quantifies over the convex hull through sign patterns: the effective
-    refinement set depends on the distribution only via its pattern. The
-    population size enters only through which outcomes are feasible at n, so
-    the answer stabilizes once n exceeds a small instance-dependent bound
-    (observable by sweeping n, not assumed here).
-    """
-    bad = _reachable_paradoxes(n, rule, agenda, state_budget)
-    return not _some_pattern_feasible(bad, True, dists, rule, agenda)
-
-
-def check_kappa3(
-    dists: DistributionSet,
-    rule: QuotaRule,
-    agenda: Agenda,
-    n: int,
-    *,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    """True iff some reachable distribution has only consistent effective refinements."""
-    bad = _reachable_paradoxes(n, rule, agenda, state_budget)
-    return _some_pattern_feasible(bad, False, dists, rule, agenda)
-
-
 def _some_pattern_feasible(
     bad: np.ndarray,
     touches_bad: bool,
@@ -427,10 +362,15 @@ def kappa_conditions(
 ) -> tuple[bool, bool, bool, bool]:
     """The four condition flags as they enter the asymptotic case split.
 
+    κ1 is :func:`check_kappa1` and κ4 is :func:`check_kappa4`. κ2 (κ3) holds
+    iff every (some) distribution in the convex hull of the members has only
+    consistent effective refinements: refinements that some n-vote profile
+    reaches. The hull is searched through sign patterns, as the effective
+    refinements depend on a distribution only through its pattern.
+
     When the first condition holds (no paradox profile exists at n at all) the
     exponential-regime conditions are unreachable branches of the case split
-    and are reported as false; the standalone checkers keep their literal
-    definitions.
+    and are reported as false.
     """
     bad = _reachable_paradoxes(n, rule, agenda, state_budget)
     k4 = check_kappa4(rule, agenda)

@@ -3,15 +3,17 @@
 All numeric fields are exact rationals (``fractions.Fraction``); no floating
 point value ever enters a comparison made by these types.
 
-The canonical judgement order reads the premise bits as a binary number with
-the first premise as the most significant digit, so for p=2 the judgements are
-(0,0), (0,1), (1,0), (1,1) at 1-based indices 1..4.
+The canonical judgement order is the one :func:`judgements` lists, and truth
+tables, vote weights and histograms are indexed in it: the premise bits read as
+a binary number with the first premise as the most significant digit, so for
+p=2 the judgements are (0,0), (0,1), (1,0), (1,1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DimensionError
@@ -47,28 +49,9 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
     return out
 
 
-def encode_judgement(judgement: Sequence[int], p: int | None = None) -> int:
-    """1-based canonical index of a judgement (premise bits as a binary number).
-
-    The first premise is the most significant digit: (1,0) -> 3 for p=2.
-    """
-    bits = _check_bits(judgement, "judgement")
-    if p is not None and len(bits) != p:
-        raise DimensionError(f"judgement has {len(bits)} bits, expected p={p}")
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value + 1
-
-
-def decode_index(index: int, p: int) -> Judgement:
-    """Inverse of :func:`encode_judgement`: 1-based index -> judgement bits."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if not 1 <= index <= (1 << p):
-        raise ValueError(f"index {index} out of range [1, {1 << p}] for p={p}")
-    value = index - 1
-    return tuple((value >> (p - 1 - i)) & 1 for i in range(p))
+def judgements(p: int) -> tuple[Judgement, ...]:
+    """All 2**p judgements in the canonical order; entry j is judgement j (0-based)."""
+    return tuple(product((0, 1), repeat=p))
 
 
 @dataclass(frozen=True)
@@ -96,15 +79,10 @@ class Agenda:
         """Number of distinct judgements, 2**p."""
         return 1 << self.p
 
-    def conclusion(self, judgement: Sequence[int]) -> int:
-        """Value of the conclusion for one judgement."""
-        return self.truth_table[encode_judgement(judgement, self.p) - 1]
-
     @classmethod
     def from_connective(cls, p: int, fn: Callable[[Judgement], int]) -> "Agenda":
         """Build an agenda by tabulating ``fn`` over all 2**p judgements."""
-        table = tuple(int(bool(fn(decode_index(j + 1, p)))) for j in range(1 << p))
-        return cls(p, table)
+        return cls(p, tuple(int(bool(fn(w))) for w in judgements(p)))
 
     @classmethod
     def conjunction(cls, p: int) -> "Agenda":
@@ -117,26 +95,6 @@ class Agenda:
         if not 1 <= premise <= p:
             raise ValueError(f"premise {premise} out of range [1, {p}]")
         return cls.from_connective(p, lambda w: w[premise - 1])
-
-
-def omega_indices(i: int, agenda: Agenda) -> tuple[int, ...]:
-    """0-based judgement indices whose i-th proposition is 1 (i is 1-based).
-
-    For i <= p these are the judgements with premise i set; for i = p+1 the
-    judgements whose conclusion is 1.
-    """
-    if not 1 <= i <= agenda.p + 1:
-        raise ValueError(f"proposition index {i} out of range [1, {agenda.p + 1}]")
-    if i <= agenda.p:
-        return tuple(
-            j for j in range(agenda.m) if (j >> (agenda.p - i)) & 1
-        )
-    return tuple(j for j, v in enumerate(agenda.truth_table) if v == 1)
-
-
-def omega_set(i: int, agenda: Agenda) -> frozenset[Judgement]:
-    """Set of judgements whose i-th proposition is 1 (conclusion for i = p+1)."""
-    return frozenset(decode_index(j + 1, agenda.p) for j in omega_indices(i, agenda))
 
 
 @dataclass(frozen=True)
@@ -172,9 +130,7 @@ class FractionalVote:
     def point(cls, judgement: Sequence[int]) -> "FractionalVote":
         """The non-fractional vote putting weight 1 on one judgement."""
         bits = _check_bits(judgement, "judgement")
-        m = 1 << len(bits)
-        idx = encode_judgement(bits) - 1
-        return cls(tuple(Fraction(1) if j == idx else Fraction(0) for j in range(m)))
+        return cls(tuple(Fraction(int(w == bits)) for w in judgements(len(bits))))
 
     @classmethod
     def uniform(cls, p: int) -> "FractionalVote":

@@ -17,21 +17,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DimensionError
-from .model import Agenda, FractionalVote, Histogram, QuotaRule, omega_indices
-from .aggregation import OutcomeVector, _check_rule, inconsistent_outcomes
-from .conditions import check_kappa4, outcome_feasible
-
-
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """Row vector scoring a histogram against one proposition's threshold.
-
-    Entry for judgement w is q_i - 1 when w supports proposition i and q_i
-    otherwise, so dotting with a histogram gives q_i * n minus the support.
-    """
-
-    entries: tuple[Fraction, ...]
-    proposition: int
+from .model import Agenda, FractionalVote, Histogram, QuotaRule
+from .aggregation import OutcomeVector, _check_rule, _proposition_column, inconsistent_outcomes
+from .conditions import check_kappa4
 
 
 @dataclass(frozen=True)
@@ -48,20 +36,16 @@ class Polyhedron:
         return len(self.A[0])
 
 
-@dataclass(frozen=True)
-class ParadoxRegion:
-    """The polyhedra of all inconsistent outcome vectors."""
+def characteristic_vector(i: int, rule: QuotaRule, agenda: Agenda) -> tuple[Fraction, ...]:
+    """The row scoring a histogram against proposition i (1-based; p+1 is the conclusion).
 
-    polyhedra: tuple[Polyhedron, ...]
-
-
-def characteristic_vector(i: int, rule: QuotaRule, agenda: Agenda) -> CharacteristicVector:
-    """The scoring vector of proposition i (1-based; p+1 is the conclusion)."""
+    Entry for judgement w is q_i - 1 when w supports proposition i and q_i
+    otherwise, so dotting with a histogram gives q_i * n minus the support.
+    """
     _check_rule(rule, agenda)
+    column = _proposition_column(i, agenda)
     q = rule.thresholds[i - 1]
-    support = set(omega_indices(i, agenda))
-    entries = tuple(q - 1 if j in support else q for j in range(agenda.m))
-    return CharacteristicVector(entries, i)
+    return tuple(q - bit for bit in column)
 
 
 def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> Polyhedron:
@@ -79,7 +63,7 @@ def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> P
     rows, b, b_exact = [], [], []
     for i in range(1, agenda.p + 2):
         sign = 1 if alpha[i - 1] == 1 else -1
-        c = characteristic_vector(i, rule, agenda).entries
+        c = characteristic_vector(i, rule, agenda)
         rows.append(tuple(sign * e for e in c))
         offset = Fraction(sign * rule.breakings[i - 1] - (1 if alpha[i - 1] == 1 else 0))
         b.append(offset)
@@ -90,11 +74,9 @@ def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> P
     return Polyhedron(tuple(rows), tuple(b), tuple(b_exact), alpha)
 
 
-def paradox_region(rule: QuotaRule, agenda: Agenda) -> ParadoxRegion:
+def paradox_region(rule: QuotaRule, agenda: Agenda) -> tuple[Polyhedron, ...]:
     """Polyhedra of every inconsistent outcome, in canonical alpha order."""
-    return ParadoxRegion(
-        tuple(build_polyhedron(a, rule, agenda) for a in inconsistent_outcomes(agenda))
-    )
+    return tuple(build_polyhedron(a, rule, agenda) for a in inconsistent_outcomes(agenda))
 
 
 def _as_weights(x: Union[Histogram, FractionalVote, Sequence]) -> tuple[Fraction, ...]:
@@ -140,44 +122,3 @@ def cone_dimension(poly: Polyhedron, rule: QuotaRule, agenda: Agenda) -> int:
     scoring rows cancel) and m otherwise.
     """
     return agenda.m - 1 if check_kappa4(rule, agenda) else agenda.m
-
-
-def active_dimension(
-    pi: FractionalVote,
-    poly: Polyhedron,
-    n: int,
-    rule: QuotaRule,
-    agenda: Agenda,
-) -> Union[int, float]:
-    """Cone dimension if the polyhedron is active for pi at n, else -inf.
-
-    Active means pi lies in the characteristic cone and some profile of n
-    votes has its histogram in the region (equivalently, aggregates to alpha).
-    """
-    if in_cone(pi, poly) and outcome_feasible(poly.alpha, n, rule, agenda):
-        return cone_dimension(poly, rule, agenda)
-    return float("-inf")
-
-
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rank = 0
-    col = 0
-    while rank < len(matrix) and col < ncols:
-        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        for r in range(rank + 1, len(matrix)):
-            factor = matrix[r][col] / pivot
-            if factor != 0:
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -20,6 +22,7 @@ from paradox_lab import (
     is_paradox,
     parse_instance,
 )
+from paradox_lab.conditions import _phase_one
 
 INSTANCE_DIR = Path(__file__).parent / "instances"
 
@@ -144,6 +147,51 @@ def brute_force_paradox_probability(
         ):
             total += prob
     return total
+
+
+def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by exact Gaussian elimination."""
+    matrix = [list(map(Fraction, row)) for row in rows]
+    if not matrix:
+        return 0
+    ncols = len(matrix[0])
+    rank = 0
+    col = 0
+    while rank < len(matrix) and col < ncols:
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot = matrix[rank][col]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / pivot
+            if factor != 0:
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def lp_cone_dimension(A: Sequence[Sequence[Fraction]]) -> int:
+    """Dimension of the cone {x : A x <= 0}: m minus the rank of its implicit equalities.
+
+    Row k is an implicit equality iff no x in the cone has a_k x < 0, that is
+    (scaling x) iff {A x <= 0, a_k x <= -1} is empty: one exact Phase-I LP on
+    x = u - v with a slack per row, each row scaled to integers.
+    """
+    scaled = [[int(a * math.lcm(*(v.denominator for v in row))) for a in row] for row in A]
+    equalities = []
+    for k, row_k in enumerate(scaled):
+        system = []
+        for i, row in enumerate(scaled):
+            sign = -1 if i == k else 1
+            slack = [sign * (j == i) for j in range(len(scaled))]
+            system.append([sign * a for a in row] + [-sign * a for a in row] + slack)
+        b = [int(i == k) for i in range(len(scaled))]
+        if _phase_one(system, b)[0] is None:
+            equalities.append(A[k])
+    return len(A[0]) - exact_rank(equalities)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paradox_lab import (
     Agenda,
+    DimensionError,
     FractionalVote,
     Histogram,
     Profile,
@@ -25,7 +27,7 @@ from paradox_lab.aggregation import (
     outcome_slices,
     paradox_table,
 )
-from paradox_lab.conditions import outcome_feasible, reachable_counts
+from paradox_lab.conditions import reachable_counts
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -73,6 +75,10 @@ def test_is_consistent():
     assert is_consistent((1, 0, 0), AND2)
     assert is_consistent((0, 0, 0), AND2)
     assert is_consistent((1, 1, 1), AND2)
+    with pytest.raises(DimensionError):
+        is_consistent((1, 1), AND2)
+    with pytest.raises(ValueError):
+        is_consistent((1, 1, 2), AND2)
 
 
 def test_inconsistent_outcomes_count():
@@ -179,9 +185,6 @@ def test_outcome_slices_edge_ranges():
     mirror = Agenda(1, (0, 1))
     table = reachable_counts(n, edge, mirror)
     assert table.tolist() == [[False, True], [False, False]]
-    assert not outcome_feasible((1, 0), n, edge, mirror)
-    assert not outcome_feasible((0, 0), n, edge, mirror)
-    assert outcome_feasible((0, 1), n, edge, mirror)
     # a_i in [1, n] ends as two cells, counts below a_i and counts from it
     inner = QuotaRule.of(["1/2", "1/4"], [1, 0])
     assert count_windows(inner, n)[n] == ((1, 2), (1, 2))

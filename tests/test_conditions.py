@@ -10,19 +10,19 @@ from paradox_lab import (
     DistributionSet,
     FractionalVote,
     QuotaRule,
+    Histogram,
+    characteristic_vector,
     check_kappa1,
-    check_kappa2,
-    check_kappa3,
     check_kappa4,
-    effective_refinements,
     feasible_sign_pattern,
     kappa_conditions,
-    outcome_feasible,
     parse_instance,
+    proposition_weight,
     reachable_counts,
     refinements,
     sign_pattern_of,
     sign_pattern_witness,
+    support_probability,
 )
 from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
@@ -79,27 +79,20 @@ def test_refinements_all_tied_needs_matching_thresholds():
 
 
 def test_effective_refinements_worked_example():
+    # the refinements of pi that some n-vote profile reaches
     for n in (3, 4, 6):
-        assert effective_refinements(PI_EXAMPLE, MAJ, AND2, n) == frozenset(
-            {(0, 1, 0), (1, 1, 0), (1, 1, 1)}
-        )
-
-
-def test_effective_subset_of_refinements():
-    rng = random.Random(9)
-    for _ in range(25):
-        agenda, rule, dists = random_instance(rng)
-        pi = dists.members[0]
-        n = rng.randint(1, 6)
-        assert effective_refinements(pi, rule, agenda, n) <= refinements(pi, rule, agenda)
+        reachable = reachable_counts(n, MAJ, AND2)
+        assert {alpha for alpha in refinements(PI_EXAMPLE, MAJ, AND2) if reachable[alpha]} == {
+            (0, 1, 0), (1, 1, 0), (1, 1, 1)
+        }
 
 
 def test_outcome_feasible_examples():
-    assert outcome_feasible((1, 1, 1), 3, MAJ, AND2)
-    assert not outcome_feasible((0, 1, 1), 3, MAJ, AND2)
+    assert reachable_counts(3, MAJ, AND2)[1, 1, 1]
+    assert not reachable_counts(3, MAJ, AND2)[0, 1, 1]
     for n in range(1, 7):
-        assert not outcome_feasible((0, 1, 1), n, MAJ, AND2)
-    assert outcome_feasible((1, 1, 0), 2, MAJ, AND2)
+        assert not reachable_counts(n, MAJ, AND2)[0, 1, 1]
+    assert reachable_counts(2, MAJ, AND2)[1, 1, 0]
 
 
 def test_outcome_feasible_matches_enumeration():
@@ -124,8 +117,9 @@ def test_outcome_feasible_matches_enumeration():
                                        tuple(d for _, d in edges)), 8))
     for agenda, rule, n in cases:
         achieved = brute_force_outcomes(n, rule, agenda)
+        reachable = reachable_counts(n, rule, agenda)
         for alpha in product((0, 1), repeat=agenda.p + 1):
-            assert outcome_feasible(alpha, n, rule, agenda) == (alpha in achieved)
+            assert reachable[alpha] == (alpha in achieved)
 
 
 def test_kappa1_examples():
@@ -134,6 +128,19 @@ def test_kappa1_examples():
         assert not check_kappa1(n, MAJ, AND2)
     for n in range(1, 13):
         assert check_kappa1(n, MIRROR_RULE, MIRROR) == (n % 2 == 1)
+
+
+def test_proposition_index_out_of_range():
+    pi = FractionalVote.of(["1/10", "2/10", "3/10", "4/10"])
+    h = Histogram(pi.weights)
+    assert support_probability(pi, 3, AND2) == Fraction(2, 5)
+    for i in (0, AND2.p + 2):
+        with pytest.raises(ValueError):
+            support_probability(pi, i, AND2)
+        with pytest.raises(ValueError):
+            proposition_weight(h, i, AND2)
+        with pytest.raises(ValueError):
+            characteristic_vector(i, MAJ, AND2)
 
 
 def test_sign_pattern_of_members():
@@ -329,14 +336,12 @@ def test_reachable_counts_cache_tells_last_windows_apart(monkeypatch):
 
 
 def test_kappa2_kappa3_worked_examples():
+    # kappa1 is false at each n, so the flags are read in full
     for n in (2, 3, 10):
-        assert not check_kappa2(THETA1, MAJ, AND2, n)
-        assert not check_kappa3(THETA1, MAJ, AND2, n)
-        assert check_kappa2(EXPSMALL, MAJ, AND2, n)
-        assert check_kappa3(EXPSMALL, MAJ, AND2, n)
+        assert kappa_conditions(THETA1, MAJ, AND2, n)[1:3] == (False, False)
+        assert kappa_conditions(EXPSMALL, MAJ, AND2, n)[1:3] == (True, True)
     for n in (2, 4, 20):
-        assert not check_kappa2(MIRROR_SET, MIRROR_RULE, MIRROR, n)
-        assert check_kappa3(MIRROR_SET, MIRROR_RULE, MIRROR, n)
+        assert kappa_conditions(MIRROR_SET, MIRROR_RULE, MIRROR, n)[1:3] == (False, True)
 
 
 def test_kappa_flags_stabilize_in_n():
@@ -353,8 +358,8 @@ def test_kappa2_implies_kappa3():
     for _ in range(20):
         agenda, rule, dists = random_instance(rng)
         n = rng.randint(1, 5)
-        if check_kappa2(dists, rule, agenda, n):
-            assert check_kappa3(dists, rule, agenda, n)
+        _, k2, k3, _ = kappa_conditions(dists, rule, agenda, n)
+        assert k3 or not k2
 
 
 def test_kappa4_examples():
@@ -377,8 +382,6 @@ def test_kappa4_ignores_breakings():
 def test_kappa_tuple_reporting_convention():
     # when no paradox profile exists the exponential-branch flags read false
     assert kappa_conditions(EXPSMALL, MAJ, AND2, 1) == (True, False, False, False)
-    assert check_kappa2(EXPSMALL, MAJ, AND2, 1)
-    assert check_kappa3(EXPSMALL, MAJ, AND2, 1)
     assert kappa_conditions(MIRROR_SET, MIRROR_RULE, MIRROR, 5) == (
         True, False, False, True,
     )

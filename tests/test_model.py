@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+
+import paradox_lab
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,46 +14,33 @@ from paradox_lab import (
     Profile,
     QuotaRule,
     as_rational,
-    decode_index,
-    encode_judgement,
     format_rational,
     histogram,
-    omega_set,
+    judgements,
+    proposition_patterns,
 )
 
 
-def test_encode_examples():
-    assert encode_judgement((1, 0), p=2) == 3
-    assert encode_judgement((0, 0, 0)) == 1
-    assert encode_judgement((1, 1, 1), p=3) == 8
-
-
-def test_encode_length_mismatch():
-    with pytest.raises(DimensionError):
-        encode_judgement((1, 0), p=3)
-
-
-def test_decode_examples():
-    assert decode_index(3, 2) == (1, 0)
-    assert decode_index(1, 2) == (0, 0)
-    assert decode_index(8, 3) == (1, 1, 1)
-
-
-def test_decode_out_of_range():
-    with pytest.raises(ValueError):
-        decode_index(0, 2)
-    with pytest.raises(ValueError):
-        decode_index(5, 2)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_encoding_bijective(p):
-    seen = set()
-    for index in range(1, (1 << p) + 1):
-        j = decode_index(index, p)
-        assert encode_judgement(j, p) == index
-        seen.add(j)
-    assert len(seen) == 1 << p
+def test_judgement_order(p):
+    # the premise bits read as a binary number, the first premise most significant
+    assert judgements(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    order = judgements(p)
+    assert [int("".join(map(str, w)), 2) for w in order] == list(range(1 << p))
+    for w in order:
+        weights = FractionalVote.point(w).weights
+        assert weights[order.index(w)] == 1 and sum(weights) == 1
+    parity = Agenda.from_connective(p, lambda w: sum(w) % 2)
+    assert proposition_patterns(parity) == tuple(w + (sum(w) % 2,) for w in order)
+
+
+def test_public_names_resolve():
+    names = paradox_lab.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(paradox_lab, name)] == []
+    namespace: dict = {}
+    exec("from paradox_lab import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_histogram_table_values():
@@ -96,31 +85,6 @@ def test_histogram_linearity(first, second):
     combined = histogram(Profile(tuple(first + second)))
     separate = histogram(Profile(tuple(first))) + histogram(Profile(tuple(second)))
     assert combined.weights == separate.weights
-
-
-def test_omega_sets_for_conjunction():
-    agenda = Agenda.conjunction(2)
-    assert omega_set(1, agenda) == frozenset({(1, 0), (1, 1)})
-    assert omega_set(2, agenda) == frozenset({(0, 1), (1, 1)})
-    assert omega_set(3, agenda) == frozenset({(1, 1)})
-
-
-def test_omega_conclusion_empty_when_never_true():
-    agenda = Agenda(2, (0, 0, 0, 0))
-    assert omega_set(3, agenda) == frozenset()
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_omega_sizes(p):
-    agenda = Agenda.conjunction(p)
-    for i in range(1, p + 1):
-        assert len(omega_set(i, agenda)) == 1 << (p - 1)
-    assert len(omega_set(p + 1, agenda)) == sum(agenda.truth_table)
-
-
-def test_omega_index_out_of_range():
-    with pytest.raises(ValueError):
-        omega_set(4, Agenda.conjunction(2))
 
 
 def test_rational_arithmetic_is_exact():

@@ -9,19 +9,17 @@ from paradox_lab import (
     FractionalVote,
     Histogram,
     QuotaRule,
-    active_dimension,
     apply_quota,
     build_polyhedron,
     characteristic_vector,
     cone_dimension,
-    exact_rank,
     in_cone,
     in_polyhedron,
     in_polyhedron_exact,
     paradox_region,
     refinements,
 )
-from conftest import enumerate_histograms, random_rule
+from conftest import enumerate_histograms, exact_rank, lp_cone_dimension, random_rule
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -32,15 +30,15 @@ RULE6 = QuotaRule.of(["1/4", "13/20"], (1, 1))
 def test_characteristic_vectors_single_premise():
     c1 = characteristic_vector(1, RULE6, MIRROR)
     c2 = characteristic_vector(2, RULE6, MIRROR)
-    assert c1.entries == (Fraction(1, 4), Fraction(-3, 4))
-    assert c2.entries == (Fraction(13, 20), Fraction(-7, 20))
+    assert c1 == (Fraction(1, 4), Fraction(-3, 4))
+    assert c2 == (Fraction(13, 20), Fraction(-7, 20))
 
 
 def test_characteristic_vector_constant_conclusion():
     always = Agenda(2, (1, 1, 1, 1))
     rule = QuotaRule.of(["1/2", "1/2", "2/3"], (0, 0, 0))
     c = characteristic_vector(3, rule, always)
-    assert c.entries == tuple([Fraction(2, 3) - 1] * 4)
+    assert c == tuple([Fraction(2, 3) - 1] * 4)
 
 
 def test_build_polyhedron_unit_slack_form():
@@ -85,10 +83,8 @@ def test_cone_membership_examples():
 
 
 def test_paradox_region_size():
-    region = paradox_region(MAJ, AND2)
-    assert len(region.polyhedra) == 4
-    region1 = paradox_region(RULE6, MIRROR)
-    assert {poly.alpha for poly in region1.polyhedra} == {(0, 1), (1, 0)}
+    assert len(paradox_region(MAJ, AND2)) == 4
+    assert {poly.alpha for poly in paradox_region(RULE6, MIRROR)} == {(0, 1), (1, 0)}
 
 
 def _statement_one_rules():
@@ -124,7 +120,7 @@ def test_characteristic_vectors_linearly_independent():
         p = rng.choice([1, 2, 3])
         agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
         rule = random_rule(rng, p + 1)
-        rows = [characteristic_vector(i, rule, agenda).entries for i in range(1, p + 1)]
+        rows = [characteristic_vector(i, rule, agenda) for i in range(1, p + 1)]
         assert exact_rank(rows) == p
 
 
@@ -138,18 +134,24 @@ def test_cone_dimension_dichotomy():
     assert cone_dimension(poly_and, MAJ, AND2) == 4
 
 
-def test_active_dimension_cases():
-    poly = build_polyhedron((1, 1, 0), MAJ, AND2)
-    assert active_dimension(FractionalVote.uniform(2), poly, 3, MAJ, AND2) == 4
-    heavy = FractionalVote.of(["1/10", "1/10", "1/10", "7/10"])
-    assert active_dimension(heavy, poly, 3, MAJ, AND2) == float("-inf")
-    # in the cone but with no feasible profile: the mirrored agenda at odd n
-    mirror_rule = QuotaRule.majority(2, (1, 0))
-    mpoly = build_polyhedron((1, 0), mirror_rule, MIRROR)
-    tied = FractionalVote.of(["1/2", "1/2"])
-    assert in_cone(tied, mpoly)
-    assert active_dimension(tied, mpoly, 3, mirror_rule, MIRROR) == float("-inf")
-    assert active_dimension(tied, mpoly, 4, mirror_rule, MIRROR) == 1
+def test_cone_dimension_matches_lp():
+    # thresholds with denominators 2..5, random truth tables and tie bits
+    rng = random.Random("cone-dimension")
+    deficits = set()
+    for _ in range(150):
+        p = rng.randint(1, 3)
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        thresholds = []
+        for _ in range(p + 1):
+            den = rng.randint(2, 5)
+            thresholds.append(Fraction(rng.randint(0, den), den))
+        rule = QuotaRule(tuple(thresholds), tuple(rng.randint(0, 1) for _ in range(p + 1)))
+        for poly in paradox_region(rule, agenda):
+            dimension = cone_dimension(poly, rule, agenda)
+            assert dimension == lp_cone_dimension(poly.A), (agenda, rule, poly.alpha)
+            deficits.add(agenda.m - dimension)
+    # both branches of the dichotomy occur
+    assert deficits == {0, 1}
 
 
 def test_cone_membership_equals_refinement():
