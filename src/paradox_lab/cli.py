@@ -29,7 +29,7 @@ from .likelihood import (
     smoothed_extremes,
 )
 from .fitting import FAMILIES, fit_curve
-from .instances import Instance, parse_instance
+from .instances import parse_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,15 +64,15 @@ def _extremes_json(extremes: SmoothedExtremes) -> dict:
     }
 
 
-def _cmd_check(instance: Instance, options: dict) -> dict:
-    n = options["n"]
+def _cmd_check(args: argparse.Namespace) -> dict:
+    instance = args.instance
     result = classify(
-        instance.distributions, instance.rule, instance.agenda, n,
-        state_budget=options["budget_states"],
+        instance.distributions, instance.rule, instance.agenda, args.n,
+        state_budget=args.budget_states,
     )
     return {
         "label": instance.label,
-        "n": n,
+        "n": args.n,
         "kappa": {f"kappa{i + 1}": flag for i, flag in enumerate(result.kappas)},
         "classification": {
             "max_rate": result.max_rate.value,
@@ -81,64 +81,44 @@ def _cmd_check(instance: Instance, options: dict) -> dict:
     }
 
 
-def _extremes(instance: Instance, n: int, options: dict, mode: str, seed: int) -> SmoothedExtremes:
+def _extremes(args: argparse.Namespace, n: int, **engine) -> SmoothedExtremes:
     """The one call into :func:`smoothed_extremes` behind ``exact``, ``mc`` and ``sweep``."""
+    instance = args.instance
     return smoothed_extremes(
         instance.distributions, n, instance.rule, instance.agenda,
-        mode=mode,
-        trials=options.get("trials", DEFAULT_TRIALS),
-        seed=seed,
-        value_mode=options.get("value_mode", "auto"),
-        assignment_budget=options["budget_assignments"],
-        state_budget=options.get("budget_states", DEFAULT_STATE_BUDGET),
+        assignment_budget=args.budget_assignments, **engine,
     )
 
 
-def _cmd_exact(instance: Instance, options: dict) -> dict:
-    extremes = _extremes(instance, options["n"], options, "exact", 0)
-    return {"label": instance.label, **_extremes_json(extremes)}
+def _cmd_exact(args: argparse.Namespace) -> dict:
+    extremes = _extremes(args, args.n, mode="exact", value_mode=args.value_mode,
+                         state_budget=args.budget_states)
+    return {"label": args.instance.label, **_extremes_json(extremes)}
 
 
-def _cmd_mc(instance: Instance, options: dict) -> dict:
-    extremes = _extremes(instance, options["n"], options, "mc", options["seed"])
+def _cmd_mc(args: argparse.Namespace) -> dict:
+    extremes = _extremes(args, args.n, mode="mc", trials=args.trials, seed=args.seed)
     return {
-        "label": instance.label,
-        "trials": options["trials"],
-        "seed": options["seed"],
+        "label": args.instance.label,
+        "trials": args.trials,
+        "seed": args.seed,
         **_extremes_json(extremes),
     }
 
 
-def _sweep_values(options: dict) -> list[int]:
-    start, stop = options["n_from"], options["n_to"]
-    step = options["step"]
-    if start < 1 or stop < start or step < 1:
-        raise ValidationError("sweep", f"bad range [{start}, {stop}] step {step}")
-    values = list(range(start, stop + 1, step))
-    parity = options.get("parity", "all")
-    if parity == "odd":
-        values = [n for n in values if n % 2 == 1]
-    elif parity == "even":
-        values = [n for n in values if n % 2 == 0]
-    elif parity != "all":
-        raise ValidationError("sweep.parity", f"expected odd|even|all, got {parity!r}")
-    if not values:
-        raise ValidationError("sweep", "range selects no n values")
-    return values
-
-
-def _cmd_sweep(instance: Instance, options: dict) -> str:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     """The sweep as CSV text, one row per n."""
+    if args.n_from < 1 or args.n_to < args.n_from or args.step < 1:
+        raise ValidationError("sweep", f"bad range [{args.n_from}, {args.n_to}] step {args.step}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for n in _sweep_values(options):
+    for n in range(args.n_from, args.n_to + 1, args.step):
         # each row gets its own stream family so estimates are independent
         # across n while staying a pure function of (seed, n)
-        row_seed = int(
-            np.random.SeedSequence(entropy=(options["seed"], n)).generate_state(1)[0]
-        )
-        extremes = _extremes(instance, n, options, options.get("mode", "exact"), row_seed)
+        row_seed = int(np.random.SeedSequence(entropy=(args.seed, n)).generate_state(1)[0])
+        extremes = _extremes(args, n, mode=args.mode, trials=args.trials, seed=row_seed,
+                             value_mode=args.value_mode, state_budget=args.budget_states)
         writer.writerow([
             n,
             float(extremes.max_probability),
@@ -152,29 +132,28 @@ def _cmd_sweep(instance: Instance, options: dict) -> str:
     return buffer.getvalue()
 
 
-def _cmd_fit(options: dict) -> dict:
-    path = options["input"]
-    column = options.get("column", "max_est")
+def _cmd_fit(args: argparse.Namespace) -> dict:
     try:
-        with open(path, newline="") as handle:
+        with open(args.input, newline="") as handle:
             reader = csv.DictReader(handle)
-            if reader.fieldnames is None or column not in reader.fieldnames:
+            if reader.fieldnames is None or args.column not in reader.fieldnames:
                 raise ValidationError(
-                    "fit.input", f"CSV has no column {column!r} (columns: {reader.fieldnames})"
+                    "fit.input",
+                    f"CSV has no column {args.column!r} (columns: {reader.fieldnames})",
                 )
-            series = [(float(row["n"]), float(row[column])) for row in reader]
+            # a short row reads None in its missing columns: float(None) is a TypeError
+            series = [(float(row["n"]), float(row[args.column])) for row in reader]
     except OSError as exc:
-        raise ValidationError("fit.input", f"cannot read {path}: {exc}") from None
-    except (KeyError, ValueError) as exc:
+        raise ValidationError("fit.input", f"cannot read {args.input}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("fit.input", f"bad CSV contents: {exc}") from None
-    result = fit_curve(series, options["family"])
-    return {"input": str(path), "column": column, "points": len(series), **result.as_dict()}
+    result = fit_curve(series, args.family)
+    return {"input": args.input, "column": args.column, "points": len(series), **result.as_dict()}
 
 
-def _cmd_polyhedra(instance: Instance) -> dict:
-    region = paradox_region(instance.rule, instance.agenda)
+def _cmd_polyhedra(args: argparse.Namespace) -> dict:
     return {
-        "label": instance.label,
+        "label": args.instance.label,
         "polyhedra": [
             {
                 "alpha": list(poly.alpha),
@@ -182,26 +161,9 @@ def _cmd_polyhedra(instance: Instance) -> dict:
                 "b": [format_rational(v) for v in poly.b],
                 "b_exact": [format_rational(v) for v in poly.b_exact],
             }
-            for poly in region
+            for poly in paradox_region(args.instance.rule, args.instance.agenda)
         ],
     }
-
-
-def run_command(command: str, instance: Optional[Instance], options: dict):
-    """Dispatch one subcommand; returns a JSON-ready dict, or CSV text for ``sweep``."""
-    if command == "check":
-        return _cmd_check(instance, options)
-    if command == "exact":
-        return _cmd_exact(instance, options)
-    if command == "mc":
-        return _cmd_mc(instance, options)
-    if command == "sweep":
-        return _cmd_sweep(instance, options)
-    if command == "fit":
-        return _cmd_fit(options)
-    if command == "polyhedra":
-        return _cmd_polyhedra(instance)
-    raise ValidationError("command", f"unknown command {command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="paradox-lab",
         description="Quota-rule judgement aggregation and paradox likelihood analysis",
     )
+    # fit reads no instance and only sweep writes a file
+    parser.set_defaults(instance=None, output=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags shared by several commands; each command takes the budgets it can exceed
@@ -220,41 +184,45 @@ def build_parser() -> argparse.ArgumentParser:
     assignments = argparse.ArgumentParser(add_help=False)
     assignments.add_argument("--budget-assignments", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
                              help="cap on the number of distribution assignments")
+    values = argparse.ArgumentParser(add_help=False)
+    values.add_argument("--value-mode", choices=("auto", "rational", "float"), default="auto")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    sampling.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", parents=[instance, states],
                        help="condition flags and asymptotic classification")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser("exact", parents=[instance, states, assignments],
+    p = sub.add_parser("exact", parents=[instance, states, assignments, values],
                        help="exact max/min paradox probability over assignments")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--value-mode", choices=("auto", "rational", "float"), default="auto")
+    p.set_defaults(run=_cmd_exact)
 
-    p = sub.add_parser("mc", parents=[instance, assignments],
+    p = sub.add_parser("mc", parents=[instance, assignments, sampling],
                        help="Monte Carlo max/min paradox probability")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_mc)
 
-    p = sub.add_parser("sweep", parents=[instance, states, assignments],
+    p = sub.add_parser("sweep", parents=[instance, states, assignments, values, sampling],
                        help="extremes over a range of n, emitted as CSV")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--parity", choices=("odd", "even", "all"), default="all")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--value-mode", choices=("auto", "rational", "float"), default="auto")
     p.add_argument("--output", help="write CSV here instead of stdout")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit an asymptotic curve family to sweep CSV output")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--input", required=True, help="CSV file with n and estimate columns")
     p.add_argument("--column", default="max_est", help="value column to fit (default max_est)")
+    p.set_defaults(run=_cmd_fit)
 
-    sub.add_parser("polyhedra", parents=[instance],
-                   help="dump the halfspace systems of all paradox outcomes")
+    p = sub.add_parser("polyhedra", parents=[instance],
+                       help="dump the halfspace systems of all paradox outcomes")
+    p.set_defaults(run=_cmd_polyhedra)
 
     return parser
 
@@ -271,25 +239,21 @@ def _check_writable(path: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = vars(args).copy()
-    command = options.pop("command")
+    args = build_parser().parse_args(argv)
     try:
-        instance = None
-        if "instance" in options:
-            instance = parse_instance(options.pop("instance"))
-        output = options.get("output")
-        if output:
-            _check_writable(output)
-        result = run_command(command, instance, options)
+        if args.instance is not None:
+            args.instance = parse_instance(args.instance)
+        if args.output:
+            _check_writable(args.output)
+        # a JSON-ready dict, or CSV text for sweep
+        result = args.run(args)
         text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
-        if output:
+        if args.output:
             try:
-                with open(output, "w") as handle:
+                with open(args.output, "w") as handle:
                     handle.write(text)
             except OSError as exc:
-                raise ValidationError("sweep.output", f"cannot write {output}: {exc}") from None
+                raise ValidationError("sweep.output", f"cannot write {args.output}: {exc}") from None
         else:
             sys.stdout.write(text)
     except ResourceBudgetError as exc:

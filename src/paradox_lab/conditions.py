@@ -152,6 +152,8 @@ def reachable_counts(
         table[outcome_slices(rule, n)] = final_count_grid(
             [(True,) * agenda.m] * n, proposition_patterns(agenda), rule, bool, state_budget
         )
+        # every caller shares the cached table: a write would change later answers
+        table.flags.writeable = False
         _remember(_reach_cache, key, table)
     return _reach_cache[key]
 

@@ -341,11 +341,13 @@ def monte_carlo_estimate(
 ) -> tuple:
     """Paradox frequency over i.i.d. sampled profiles, with binomial standard error.
 
-    The standard error is the Wald estimate sqrt(p_hat * (1 - p_hat) / trials).
-    It is 0.0 when no trial, or every trial, is a paradox, so it is no bound
-    for rare events. ``assignment`` may also be a list of count vectors, as
-    Monte Carlo :func:`smoothed_extremes` passes all of them; estimates and
-    errors then come back as two arrays in that order.
+    The standard error is the Wald estimate sqrt(p_hat * (1 - p_hat) / trials),
+    except when no trial, or every trial, is a paradox: p_hat * (1 - p_hat) is
+    then 0, and the variance of a single hit, (trials - 1) / trials^2, takes its
+    place, so a rare event's error is not 0.0 (for trials >= 2). ``assignment``
+    may also be a list of count vectors, as Monte Carlo :func:`smoothed_extremes`
+    passes all of them; estimates and errors then come back as two arrays in
+    that order.
 
     All assignments share the sampled agents. Per chunk j of trials, member k
     draws its most agents once from SeedSequence(seed, spawn_key=(k, j)), one
@@ -394,7 +396,9 @@ def monte_carlo_estimate(
                 place |= support[:, i] >= a
             hits[first : first + n + 1] += paradox[place].sum(axis=1)
     estimates = hits / trials
-    stderrs = np.sqrt(estimates * (1.0 - estimates) / trials)
+    variances = estimates * (1.0 - estimates)
+    variances[(hits == 0) | (hits == trials)] = (trials - 1) / trials**2
+    stderrs = np.sqrt(variances / trials)
     return (estimates, stderrs) if many else (float(estimates[0]), float(stderrs[0]))
 
 

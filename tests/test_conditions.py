@@ -335,6 +335,20 @@ def test_reachable_counts_cache_tells_last_windows_apart(monkeypatch):
     assert len(conditions._reach_cache) == 2
 
 
+def test_reachable_counts_cached_table_is_read_only(monkeypatch):
+    # every caller shares the cached table: a write through one caller's copy
+    # would flip later kappa flags (kappa1 read True at n = 5 after t[:] = False)
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    inst = parse_instance(INSTANCE_DIR / "conjunction_theta1.json")
+    args = (inst.distributions, inst.rule, inst.agenda, 5)
+    assert kappa_conditions(*args) == (False, False, False, False)
+    table = reachable_counts(5, inst.rule, inst.agenda)
+    with pytest.raises(ValueError):
+        table[:] = False
+    assert table.any()
+    assert kappa_conditions(*args) == (False, False, False, False)
+
+
 def test_kappa2_kappa3_worked_examples():
     # kappa1 is false at each n, so the flags are read in full
     for n in (2, 3, 10):

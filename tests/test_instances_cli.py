@@ -1,16 +1,20 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paradox_lab import ValidationError, parse_instance, parse_instance_dict, smoothed_extremes
+from paradox_lab import (
+    ValidationError, classify, fit_curve, paradox_region, parse_instance, parse_instance_dict,
+    smoothed_extremes,
+)
 from paradox_lab.instances import instance_to_dict, write_instance
 from paradox_lab.likelihood import DEFAULT_TRIALS
 from paradox_lab.model import format_rational
-from paradox_lab import cli
+from paradox_lab import cli, fitting
 from paradox_lab.cli import CSV_HEADER, main
 
 from conftest import INSTANCE_DIR
@@ -81,6 +85,37 @@ def test_parse_rejects_unknown_keys():
     data["extra"] = 1
     with pytest.raises(ValidationError):
         parse_instance_dict(data)
+
+
+@pytest.mark.parametrize("key, value, path", [
+    (None, [], "$"),
+    ("label", 7, "label"),
+    ("p", 0, "p"),
+    ("p", True, "p"),
+    ("truth_table", "0001", "truth_table"),
+    ("truth_table", [0, 0, 0, 2], "truth_table[3]"),
+    ("truth_table", [0, 0, True, 1], "truth_table[2]"),
+    ("thresholds", "1/2", "thresholds"),
+    ("thresholds", {"premises": ["1/2"] * 2, "conclusion": "1/2", "extra": 1}, "thresholds"),
+    ("thresholds", {"premises": ["1/2"] * 2}, "thresholds"),
+    ("thresholds", {"premises": ["1/2"], "conclusion": "1/2"}, "thresholds.premises"),
+    ("thresholds", {"premises": ["1/2", "x"], "conclusion": "1/2"}, "thresholds.premises[1]"),
+    ("thresholds", {"premises": ["1/2"] * 2, "conclusion": None}, "thresholds.conclusion"),
+    ("thresholds", ["1/2", True, "1/2"], "thresholds[1]"),
+    ("thresholds", ["1/2", "1/2", "1/0"], "thresholds[2]"),
+    ("thresholds", ["1/2", "3/2", "1/2"], "thresholds[1]"),
+    ("breakings", [1, 1, 2], "breakings[2]"),
+    ("distributions", [], "distributions"),
+    ("distributions", ["1/4"] * 4, "distributions[0]"),
+    ("distributions", [["1/4"] * 3], "distributions[0]"),
+    ("distributions", [["3/2", "-1/2", "0", "0"]], "distributions[0][0]"),
+    ("distributions", [["1/4"] * 4, ["1/4"] * 4], "distributions"),
+])
+def test_parse_errors_name_their_field(key, value, path):
+    data = value if key is None else {**_base_dict(), key: value}
+    with pytest.raises(ValidationError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == path
 
 
 def test_non_strictly_positive_warns(tmp_path):
@@ -207,37 +242,6 @@ def test_cli_sweep_csv_and_fit(tmp_path, capsys):
     assert payload["points"] == 7
 
 
-def test_cli_sweep_parity_filter(capsys):
-    code = main([
-        "sweep", "--instance", _golden("single_premise_mirror.json"),
-        "--n-from", "2", "--n-to", "9", "--parity", "even", "--mode", "exact",
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [row.split(",")[0] for row in lines[1:]] == ["2", "4", "6", "8"]
-
-
-def test_run_command_direct_surface(theta1_instance):
-    from paradox_lab.cli import run_command
-    from paradox_lab.likelihood import (
-        DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_STATE_BUDGET,
-    )
-
-    options = {
-        "n": 3,
-        "budget_states": DEFAULT_STATE_BUDGET,
-        "budget_assignments": DEFAULT_ASSIGNMENT_BUDGET,
-        "trials": 1000,
-        "seed": 0,
-    }
-    report = run_command("check", theta1_instance, options)
-    assert report["kappa"]["kappa1"] is False
-    report = run_command("polyhedra", theta1_instance, options)
-    assert len(report["polyhedra"]) == 4
-    with pytest.raises(ValidationError):
-        run_command("nope", theta1_instance, options)
-
-
 def test_cli_sweep_mc_reproducible(tmp_path):
     argv = [
         "sweep", "--instance", _golden("conjunction_theta1.json"),
@@ -302,6 +306,26 @@ def test_cli_fit_error_exit_codes(tmp_path, capsys):
     assert main(["fit", "--family", "exp_decay", "--input", str(missing)]) == 2
 
 
+def test_cli_fit_short_row_exits_2(tmp_path, capsys):
+    # the short row reads None in its missing column
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("n,max_est\n1,0.5\n2,0.4\n3\n4,0.2\n5,0.1\n")
+    assert main(["fit", "--family", "log_linear", "--input", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: fit.input")
+
+
+def test_cli_fit_without_convergence_exits_4(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "series.csv"
+    rows = [f"{n},{0.3 + 0.5 * math.exp(-0.2 * n) + 0.01 * (-1) ** n!r}" for n in range(2, 20)]
+    csv_path.write_text("\n".join(["n,max_est", *rows]) + "\n")
+    argv = ["fit", "--family", "exp_plus_const", "--input", str(csv_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 1)
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("fit error: no convergence after 1 iterations")
+
+
 def test_cli_sweep_rejects_step_zero(capsys):
     code = main(["sweep", "--instance", _golden("conjunction_theta1.json"),
                  "--n-from", "2", "--n-to", "4", "--step", "0"])
@@ -364,7 +388,7 @@ def _sweep_csv(inst, values, mode, seed, trials=DEFAULT_TRIALS) -> str:
 
 
 def test_cli_stdout_is_the_library_result_in_a_fixed_format(
-    capsys, theta1_instance, expsmall_instance, mirror_instance
+    tmp_path, capsys, theta1_instance, expsmall_instance, mirror_instance
 ):
     inst, path = theta1_instance, _golden("conjunction_theta1.json")
     for n, value_mode in ((7, "auto"), (5, "rational")):
@@ -385,8 +409,45 @@ def test_cli_stdout_is_the_library_result_in_a_fixed_format(
     expected = _sweep_csv(expsmall_instance, range(4, 17, 3), "exact", 0)
     assert capsys.readouterr().out == expected
 
+    # one parity branch: the odd n of 2..9
     assert main(["sweep", "--instance", _golden("single_premise_mirror.json"),
-                 "--n-from", "2", "--n-to", "9", "--parity", "odd",
+                 "--n-from", "3", "--n-to", "9", "--step", "2",
                  "--mode", "mc", "--trials", "2000", "--seed", "5"]) == 0
     expected = _sweep_csv(mirror_instance, (3, 5, 7, 9), "mc", 5, trials=2000)
     assert capsys.readouterr().out == expected
+
+    assert main(["check", "--instance", path, "--n", "11"]) == 0
+    result = classify(inst.distributions, inst.rule, inst.agenda, 11)
+    expected = {
+        "label": inst.label,
+        "n": 11,
+        "kappa": dict(zip(("kappa1", "kappa2", "kappa3", "kappa4"), result.kappas)),
+        "classification": {"max_rate": result.max_rate.value,
+                           "min_rate": result.min_rate.value},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    assert main(["polyhedra", "--instance", path]) == 0
+    expected = {
+        "label": inst.label,
+        "polyhedra": [
+            {
+                "alpha": list(poly.alpha),
+                "A": [[format_rational(v) for v in row] for row in poly.A],
+                "b": [format_rational(v) for v in poly.b],
+                "b_exact": [format_rational(v) for v in poly.b_exact],
+            }
+            for poly in paradox_region(inst.rule, inst.agenda)
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(_sweep_csv(expsmall_instance, range(4, 17, 2), "exact", 0))
+    assert main(["fit", "--family", "log_linear", "--input", str(csv_path),
+                 "--column", "min_est"]) == 0
+    series = [(float(row["n"]), float(row["min_est"]))
+              for row in csv.DictReader(io.StringIO(csv_path.read_text()))]
+    expected = {"input": str(csv_path), "column": "min_est", "points": 7,
+                **fit_curve(series, "log_linear").as_dict()}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

@@ -258,6 +258,14 @@ def test_rational_chain_with_prefix_members_matches_convolution(three_majority_i
         _assert_rational_chain_is_exact(quartet, n, inst.rule, inst.agenda)
 
 
+def test_rational_chain_with_a_zero_weight_in_the_last_member():
+    # the last member's absorption steps skip its zero weight
+    for dists in (_dists(["1/4"] * 4, ["1/10", "0", "1/10", "4/5"]),
+                  _dists(["1/10", "0", "1/10", "4/5"])):
+        for n in range(1, 10):
+            _assert_rational_chain_is_exact(dists, n, MAJ, AND2)
+
+
 def test_rational_chain_matches_convolution_on_random_rules():
     # random rules give each axis its own count window; thresholds 0 and 1
     # can give one-cell axes (a = 0 or n+1), and both tie bits occur. Every
@@ -516,7 +524,7 @@ def test_monte_carlo_degenerate_point_mass():
     # is outside the strictly-positive regime the condition checks need
     degenerate = DistributionSet((FractionalVote.point((1, 1)),))
     est, se = monte_carlo_estimate((5,), degenerate, 5, MAJ, AND2, trials=1000, seed=1)
-    assert est == 0.0 and se == 0.0
+    assert est == 0.0 and se == math.sqrt(999 / 1000**2 / 1000)
     est1, _ = monte_carlo_estimate((5,), degenerate, 5, MAJ, AND2, trials=1, seed=9)
     assert est1 in (0.0, 1.0)
 
@@ -565,9 +573,25 @@ def test_mc_never_draws_a_zero_weight():
         for counts in compositions(n, 2):
             assert exact_paradox_probability(counts, zero_between, MAJ, AND2) == 0
             assert monte_carlo_estimate(counts, zero_between, n, MAJ, AND2,
-                                        trials=5000, seed=n) == (0.0, 0.0)
+                                        trials=5000, seed=n)[0] == 0.0
         extremes = smoothed_extremes(zero_between, n, MAJ, AND2, mode="mc", trials=5000, seed=n)
         assert extremes.max_probability == 0.0
+
+
+def test_mc_standard_error_when_no_trial_or_every_trial_is_a_paradox():
+    # at odd n no mirror-set trial is a paradox, and with a never-reached
+    # conclusion threshold every trial of (1, 1) point masses is one: the
+    # Wald error would read 0.0, the error of a single hit does not
+    trials = 500
+    one_hit = math.sqrt((trials - 1) / trials**2 / trials)
+    for n in (3, 9):
+        extremes = smoothed_extremes(MIRROR_SET, n, MIRROR_RULE, MIRROR, mode="mc",
+                                     trials=trials, seed=n)
+        assert extremes.max_probability == extremes.min_probability == 0.0
+        assert extremes.max_stderr == extremes.min_stderr == one_hit > 0
+    never = QuotaRule.of(["1/2", "1/2", 1], [1, 1, 0])
+    point = DistributionSet((FractionalVote.point((1, 1)),))
+    assert monte_carlo_estimate((5,), point, 5, never, AND2, trials, seed=2) == (1.0, one_hit)
 
 
 def test_mc_every_assignment_within_four_standard_errors():
