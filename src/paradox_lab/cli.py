@@ -1,5 +1,8 @@
 """Command-line surface: condition checks, extremes, sweeps, fits, region dumps.
 
+:func:`main` builds its argparse parser on its first call and reuses it in
+every later call of the process; :func:`build_parser` returns a fresh one.
+
 Exit codes: 0 success, 2 validation error or a float result that fails its
 error check, 3 resource budget exceeded, 4 fit failure.
 """
@@ -137,12 +140,14 @@ def _cmd_fit(args: argparse.Namespace) -> dict:
         with open(args.input, newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or args.column not in reader.fieldnames:
-                raise ValidationError(
-                    "fit.input",
-                    f"CSV has no column {args.column!r} (columns: {reader.fieldnames})",
-                )
-            # a short row reads None in its missing columns: float(None) is a TypeError
-            series = [(float(row["n"]), float(row[args.column])) for row in reader]
+                raise ValueError(f"no column {args.column!r} (columns: {reader.fieldnames})")
+            series = []
+            for row in reader:
+                # a long row files its surplus values under the key None
+                if None in row:
+                    raise ValueError(f"line {reader.line_num} has more values than the header")
+                # a short row reads None in its missing columns: float(None) is a TypeError
+                series.append((float(row["n"]), float(row[args.column])))
     except OSError as exc:
         raise ValidationError("fit.input", f"cannot read {args.input}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -238,8 +243,16 @@ def _check_writable(path: str) -> None:
         raise ValidationError("sweep.output", f"cannot write {path}")
 
 
+#: The parser of every :func:`main` call in this process, built by the first.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    # parse_args writes only to the namespace it returns, so calls share nothing
+    args = _parser.parse_args(argv)
     try:
         if args.instance is not None:
             args.instance = parse_instance(args.instance)

@@ -9,7 +9,9 @@ marked by :func:`~paradox_lab.aggregation.paradox_table`. Convex-hull sign-patte
 feasibility is decided by an exact Phase-I simplex on integer threshold gaps,
 pivoted fraction-free, whose every answer is checked: a witness must
 reproduce its pattern and an infeasible pattern must come with an integer
-Farkas certificate. No solver and no floating point anywhere.
+Farkas certificate. A pattern one of whose strict rows no member can satisfy
+skips the simplex: that row's unit vector is the certificate, checked the
+same way. No solver and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -280,14 +282,22 @@ def sign_pattern_witness(
     """A convex combination of the members realizing the pattern, or None.
 
     Both answers are checked exactly: the witness must have pattern beta, and
-    None is returned only with a verified Farkas certificate.
+    None is returned only with a verified integer Farkas certificate. A strict
+    row whose coefficients are all <= 0 (no member lies on the side of its
+    threshold that beta asks for) is its own certificate, the unit vector of
+    that row, and the simplex runs only when no row refutes the pattern alone.
     """
     _check_rule(rule, agenda)
     beta = _check_pattern(beta, agenda)
     if dists.m != agenda.m:
         raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
     A, b = _pattern_system(beta, _member_gaps(dists, rule, agenda))
-    x, farkas = _phase_one(A, b)
+    # a strict row with no positive coefficient refutes the pattern alone: pi = e_i
+    row = next((i for i, (a, bi) in enumerate(zip(A, b)) if bi and max(a) <= 0), None)
+    if row is not None:
+        x, farkas = None, [int(i == row) for i in range(len(b))]
+    else:
+        x, farkas = _phase_one(A, b)
     if x is None:
         if sum(map(mul, farkas, b)) <= 0 or any(
             sum(map(mul, farkas, column)) > 0 for column in zip(*A)

@@ -267,6 +267,35 @@ def test_simplex_answers_verify_on_random_sets():
     assert feasible and infeasible
 
 
+def test_one_row_certificates_agree_with_simplex(monkeypatch):
+    # a pattern refuted by one strict row alone skips the simplex; the answer
+    # must be the simplex's on every pattern of random sets with 1-6 members
+    rng = random.Random("one-row certificates")
+    phase_one = conditions._phase_one
+    simplex_runs = []
+
+    def counted(A, b):
+        simplex_runs.append(1)
+        return phase_one(A, b)
+
+    monkeypatch.setattr(conditions, "_phase_one", counted)
+    patterns = answers = 0
+    seen = set()
+    for _ in range(24):
+        p = rng.randint(1, 3)
+        m = 1 << p
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(m)))
+        rule = random_rule(rng, p + 1)
+        dists = random_positive_members(rng, m, rng.randint(1, 6))
+        gaps = conditions._member_gaps(dists, rule, agenda)
+        for beta in product((1, 0, -1), repeat=p + 1):
+            feasible = feasible_sign_pattern(beta, dists, rule, agenda)
+            assert feasible == (phase_one(*conditions._pattern_system(beta, gaps))[0] is not None)
+            patterns += 1
+            seen.add(feasible)
+    assert len(simplex_runs) < patterns and seen == {True, False}
+
+
 def test_kappa_on_ten_member_three_premise_sets():
     # random 10-member sets whose sign-pattern LPs ran for minutes under
     # Fourier-Motzkin elimination

@@ -15,7 +15,7 @@ from paradox_lab.instances import instance_to_dict, write_instance
 from paradox_lab.likelihood import DEFAULT_TRIALS
 from paradox_lab.model import format_rational
 from paradox_lab import cli, fitting
-from paradox_lab.cli import CSV_HEADER, main
+from paradox_lab.cli import CSV_HEADER, build_parser, main
 
 from conftest import INSTANCE_DIR
 
@@ -312,6 +312,44 @@ def test_cli_fit_short_row_exits_2(tmp_path, capsys):
     csv_path.write_text("n,max_est\n1,0.5\n2,0.4\n3\n4,0.2\n5,0.1\n")
     assert main(["fit", "--family", "log_linear", "--input", str(csv_path)]) == 2
     assert capsys.readouterr().err.startswith("validation error: fit.input")
+
+
+def test_cli_fit_long_row_exits_2(tmp_path, capsys):
+    # csv.DictReader files the surplus value of the long row under the key None
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text("n,max_est\n1,0.5\n2,0.4,9\n3,0.3\n4,0.2\n5,0.1\n")
+    assert main(["fit", "--family", "log_linear", "--input", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: fit.input")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    instance = _golden("conjunction_theta1.json")
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", instance, "--n-from", "2", "--n-to", "3",
+                 "--output", str(csv_path)]) == 0
+    assert csv_path.read_text().startswith(",".join(CSV_HEADER))
+    check = ["check", "--instance", instance, "--n", "9"]
+    assert main(check) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--instance", instance])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(check) == 0
+    assert capsys.readouterr().out == first and json.loads(first)["n"] == 9
+    assert len(builds) == 1
+    # no value an earlier call parsed becomes a default of a later one
+    fit = cli._parser.parse_args(["fit", "--family", "log_linear", "--input", str(csv_path)])
+    assert fit.instance is None and fit.output is None
+    assert cli._parser.parse_args(check).output is None
 
 
 def test_cli_fit_without_convergence_exits_4(tmp_path, capsys, monkeypatch):
