@@ -1,11 +1,13 @@
 """Quota-rule evaluation, outcome consistency, paradox detection, and count space.
 
 Every verdict here is a pure function of exact rational inputs; the verdict
-on a proposition depends only on its support count and the total weight. On an
-integer count out of n votes the verdict is 1 iff the count reaches
-:func:`acceptance_count`; every integer-count verdict in the package goes
-through it, and :func:`count_verdict` is the reference for fractional
-histograms.
+on a proposition depends only on its support and the total weight, through
+its gap q_i * total - support_i. :func:`threshold_gaps` is the one place that
+compares support with the quota: verdicts and ties of histograms, sign
+patterns of distributions and the rows of the sign-pattern LPs all read it.
+On an integer count out of n votes the verdict is 1 iff the count reaches
+:func:`acceptance_count`, the integer form of the same comparison that every
+count grid goes through.
 
 Every count grid of the package covers, after k of n votes, the two-sided
 windows of :func:`count_windows` and grows by the one-agent step
@@ -55,29 +57,31 @@ def proposition_patterns(agenda: Agenda) -> tuple[tuple[int, ...], ...]:
     return tuple(w + (c,) for w, c in zip(judgements(agenda.p), agenda.truth_table))
 
 
-def _proposition_column(i: int, agenda: Agenda) -> tuple[int, ...]:
-    """Column i (1-based; p+1 is the conclusion) of :func:`proposition_patterns`."""
+def _check_proposition(i: int, agenda: Agenda) -> None:
+    """Reject a proposition index outside 1..p+1 (p+1 is the conclusion)."""
     if not 1 <= i <= agenda.p + 1:
         raise ValueError(f"proposition index {i} out of range [1, {agenda.p + 1}]")
-    return tuple(pattern[i - 1] for pattern in proposition_patterns(agenda))
 
 
-def proposition_weight(h: Histogram, i: int, agenda: Agenda) -> Fraction:
-    """Total weight of agents whose i-th judgement is 1 (conclusion for i = p+1)."""
-    if h.m != agenda.m:
-        raise DimensionError(f"histogram length {h.m} != agenda m {agenda.m}")
-    column = _proposition_column(i, agenda)
-    return sum((w for w, bit in zip(h.weights, column) if bit), Fraction(0))
+def threshold_gaps(
+    weights: Sequence[Fraction], total: Fraction, rule: QuotaRule, agenda: Agenda
+) -> tuple[Fraction, ...]:
+    """q_i * total - support_i for i = 1..p+1, exact: < 0 above the quota, 0 at a tie.
 
-
-def count_verdict(count: Fraction, total: Fraction, q: Fraction, d: int) -> int:
-    """Quota verdict for one proposition: 1 above q*total, d at equality, else 0."""
-    bar = q * total
-    if count > bar:
-        return 1
-    if count == bar:
-        return d
-    return 0
+    support_i is the weight on the judgements whose proposition i is 1. The
+    caller passes the positive total weight it already holds: ``h.n`` for a
+    histogram, 1 for a distribution.
+    """
+    _check_rule(rule, agenda)
+    if len(weights) != agenda.m:
+        raise DimensionError(f"weight length {len(weights)} != agenda m {agenda.m}")
+    if total <= 0:
+        raise ValueError("histogram must have positive total weight")
+    columns = zip(*proposition_patterns(agenda))
+    return tuple(
+        q * total - sum(w for w, bit in zip(weights, column) if bit)
+        for q, column in zip(rule.thresholds, columns)
+    )
 
 
 def acceptance_count(q: Fraction, d: int, n: int) -> int:
@@ -197,22 +201,15 @@ def _absorb_step(
 
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:
-    """Evaluate the quota rule on a histogram; all comparisons are exact."""
-    _check_rule(rule, agenda)
-    n = h.n
-    if n <= 0:
-        raise ValueError("histogram must have positive total weight")
-    return tuple(
-        count_verdict(proposition_weight(h, i, agenda), n, rule.thresholds[i - 1],
-                      rule.breakings[i - 1])
-        for i in range(1, agenda.p + 2)
-    )
+    """Evaluate the quota rule on a histogram: 1 above the quota, d_i at a tie, else 0."""
+    gaps = threshold_gaps(h.weights, h.n, rule, agenda)
+    return tuple(int(gap < 0) if gap else d for gap, d in zip(gaps, rule.breakings))
 
 
 def is_tied(h: Histogram, i: int, rule: QuotaRule, agenda: Agenda) -> bool:
     """True iff the support for proposition i equals q_i times the total weight."""
-    _check_rule(rule, agenda)
-    return proposition_weight(h, i, agenda) == rule.thresholds[i - 1] * h.n
+    _check_proposition(i, agenda)
+    return threshold_gaps(h.weights, h.n, rule, agenda)[i - 1] == 0
 
 
 def is_consistent(alpha: Sequence[int], agenda: Agenda) -> bool:

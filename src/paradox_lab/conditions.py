@@ -5,13 +5,14 @@ is one cell of the table of outcomes that n votes reach (built once per
 agenda, n and acceptance counts) by the forward chain of the probability
 convolution, :func:`~paradox_lab.aggregation.final_count_grid`, with True
 weights. The outcomes the κ conditions ask about are that table's cells
-marked by :func:`~paradox_lab.aggregation.paradox_table`. Convex-hull sign-pattern
-feasibility is decided by an exact Phase-I simplex on integer threshold gaps,
-pivoted fraction-free, whose every answer is checked: a witness must
-reproduce its pattern and an infeasible pattern must come with an integer
-Farkas certificate. A pattern one of whose strict rows no member can satisfy
-skips the simplex: that row's unit vector is the certificate, checked the
-same way. No solver and no floating point anywhere.
+marked by :func:`~paradox_lab.aggregation.paradox_table`. Sign patterns are
+the signs of :func:`~paradox_lab.aggregation.threshold_gaps`, and convex-hull
+sign-pattern feasibility is decided by an exact Phase-I simplex on the
+members' gaps scaled to integers, pivoted fraction-free, whose every answer
+is checked: a witness must reproduce its pattern and an infeasible pattern
+must come with an integer Farkas certificate. A pattern one of whose strict
+rows no member can satisfy skips the simplex: that row's unit vector is the
+certificate, checked the same way. No solver and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .model import Agenda, FractionalVote, QuotaRule
 from .aggregation import (
     OutcomeVector,
     _check_rule,
-    _proposition_column,
     acceptance_counts,
     count_windows,
     final_count_grid,
     outcome_slices,
     paradox_table,
     proposition_patterns,
+    threshold_gaps,
     window_cells,
 )
 
@@ -84,23 +85,9 @@ class DistributionSet:
         return self.epsilon > 0
 
 
-def support_probability(pi: FractionalVote, i: int, agenda: Agenda) -> Fraction:
-    """Probability that a vote drawn from pi has its i-th proposition equal to 1."""
-    if pi.m != agenda.m:
-        raise DimensionError(f"distribution length {pi.m} != agenda m {agenda.m}")
-    column = _proposition_column(i, agenda)
-    return sum((w for w, bit in zip(pi.weights, column) if bit), Fraction(0))
-
-
 def sign_pattern_of(pi: FractionalVote, rule: QuotaRule, agenda: Agenda) -> SignPattern:
-    """Per-proposition sign of (support probability - threshold)."""
-    _check_rule(rule, agenda)
-    out = []
-    for i in range(1, agenda.p + 2):
-        pr = support_probability(pi, i, agenda)
-        q = rule.thresholds[i - 1]
-        out.append(1 if pr > q else (0 if pr == q else -1))
-    return tuple(out)
+    """Per-proposition sign of (support probability - threshold): minus that of the gap."""
+    return tuple((g < 0) - (g > 0) for g in threshold_gaps(pi.weights, 1, rule, agenda))
 
 
 def refinements(
@@ -181,7 +168,7 @@ _gaps_cache: dict[tuple[int, int, int], tuple] = {}
 def _member_gaps(
     dists: DistributionSet, rule: QuotaRule, agenda: Agenda
 ) -> tuple[tuple[int, ...], ...]:
-    """gaps[i][k] = L_i * (q_{i+1} - support_{i+1}(member k)), as Python ints.
+    """gaps[i][k] = L_i * threshold_gaps(member k)[i], as Python ints.
 
     L_i > 0 is the LCD of row i, so every sign of gaps[i] . y is that of the
     unscaled row. Shared by a set's pattern LPs and cached by identity, as
@@ -191,8 +178,7 @@ def _member_gaps(
     key = (id(dists), id(rule), id(agenda))
     if key not in _gaps_cache:
         gaps = []
-        for i, q in enumerate(rule.thresholds, start=1):
-            row = [q - support_probability(pi, i, agenda) for pi in dists.members]
+        for row in zip(*(threshold_gaps(pi.weights, 1, rule, agenda) for pi in dists.members)):
             lcd = math.lcm(*(g.denominator for g in row))
             gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
         _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))

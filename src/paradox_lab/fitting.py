@@ -4,8 +4,9 @@ Four families: exponential approach to an offset, pure exponential decay,
 shifted inverse square root, and a linear fit of log values. The nonlinear
 families initialize from a log-linear regression (or endpoint matching) and
 refine with damped Gauss-Newton; the damping factor grows until a step
-improves the residual, so singular Jacobians (e.g. a zero amplitude) are
-handled without special cases.
+improves the residual, so singular Jacobians are handled without special
+cases. The one exception: when the initial amplitude of ``exp_plus_const``
+is below 1e-300, the constant fit is returned with 0 iterations.
 """
 
 from __future__ import annotations

@@ -133,7 +133,13 @@ class SmoothedExtremes:
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors of length ``parts`` summing to n, lexicographically."""
+    """All count vectors of length ``parts`` summing to n, lexicographically.
+
+    Needs parts >= 1 and n >= 0: otherwise the first step of the iteration
+    raises ValueError.
+    """
+    if parts < 1 or n < 0:
+        raise ValueError(f"compositions need parts >= 1 and n >= 0, got parts={parts}, n={n}")
     if parts == 1:
         yield (n,)
         return

@@ -18,7 +18,13 @@ from typing import Sequence, Union
 
 from .errors import DimensionError
 from .model import Agenda, FractionalVote, Histogram, QuotaRule
-from .aggregation import OutcomeVector, _check_rule, _proposition_column, inconsistent_outcomes
+from .aggregation import (
+    OutcomeVector,
+    _check_proposition,
+    _check_rule,
+    inconsistent_outcomes,
+    proposition_patterns,
+)
 from .conditions import check_kappa4
 
 
@@ -40,12 +46,13 @@ def characteristic_vector(i: int, rule: QuotaRule, agenda: Agenda) -> tuple[Frac
     """The row scoring a histogram against proposition i (1-based; p+1 is the conclusion).
 
     Entry for judgement w is q_i - 1 when w supports proposition i and q_i
-    otherwise, so dotting with a histogram gives q_i * n minus the support.
+    otherwise, so dotting with a histogram gives its
+    :func:`~paradox_lab.aggregation.threshold_gaps` entry i.
     """
     _check_rule(rule, agenda)
-    column = _proposition_column(i, agenda)
+    _check_proposition(i, agenda)
     q = rule.thresholds[i - 1]
-    return tuple(q - bit for bit in column)
+    return tuple(q - pattern[i - 1] for pattern in proposition_patterns(agenda))
 
 
 def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> Polyhedron:

@@ -18,11 +18,10 @@ from paradox_lab import (
     is_consistent,
     is_paradox,
     is_tied,
-    proposition_weight,
+    threshold_gaps,
 )
 from paradox_lab.aggregation import (
     acceptance_count,
-    count_verdict,
     count_windows,
     outcome_slices,
     paradox_table,
@@ -31,19 +30,22 @@ from paradox_lab.conditions import reachable_counts
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
+ONE_PREMISE = Agenda.projection(1, 1)
 TABLE_HIST = Histogram((Fraction(0), Fraction(1), Fraction(3, 2), Fraction(1, 2)))
 
 
 def test_proposition_weights_match_table():
-    assert proposition_weight(TABLE_HIST, 1, AND2) == 2
-    assert proposition_weight(TABLE_HIST, 2, AND2) == Fraction(3, 2)
-    assert proposition_weight(TABLE_HIST, 3, AND2) == Fraction(1, 2)
+    # supports 2, 3/2 and 1/2 against the majority quota n/2 = 3/2
+    gaps = threshold_gaps(TABLE_HIST.weights, TABLE_HIST.n, MAJ, AND2)
+    assert gaps == (Fraction(-1, 2), 0, 1)
+    assert all(isinstance(g, Fraction) for g in gaps)
 
 
 def test_proposition_weight_zero_support():
     h = Histogram((Fraction(3), Fraction(0), Fraction(0), Fraction(0)))
-    assert proposition_weight(h, 1, AND2) == 0
-    assert proposition_weight(h, 2, AND2) == 0
+    # no support leaves each gap at the full quota q * n
+    assert threshold_gaps(h.weights, h.n, MAJ, AND2) == (Fraction(3, 2),) * 3
+    assert apply_quota(h, MAJ, AND2) == (0, 0, 0)
 
 
 def test_apply_quota_table_instance():
@@ -68,6 +70,21 @@ def test_is_tied_examples():
     h = Histogram((Fraction(1), Fraction(0), Fraction(1), Fraction(0)))
     for i in (1, 2, 3):
         assert not is_tied(h, i, rule, AND2)
+
+
+def test_is_tied_rejects_an_empty_histogram():
+    # both readers of the gaps refuse a histogram with no weight alike
+    empty = Histogram((Fraction(0),) * 4)
+    for read in (lambda: is_tied(empty, 1, MAJ, AND2), lambda: apply_quota(empty, MAJ, AND2)):
+        with pytest.raises(ValueError, match="positive total weight"):
+            read()
+
+
+def test_threshold_gaps_check_their_inputs():
+    with pytest.raises(DimensionError):
+        threshold_gaps(TABLE_HIST.weights[:2], TABLE_HIST.n, MAJ, AND2)
+    with pytest.raises(DimensionError):
+        threshold_gaps(TABLE_HIST.weights, TABLE_HIST.n, QuotaRule.majority(2, (1, 1)), AND2)
 
 
 def test_is_consistent():
@@ -144,6 +161,12 @@ def test_anonymity_under_permutation(order):
     assert base == shuffled
 
 
+def _premise_verdict(c: int, n: int, q: Fraction, d: int) -> int:
+    """apply_quota's premise verdict on n votes, c of them for the one premise."""
+    rule = QuotaRule((q, q), (d, d))
+    return apply_quota(Histogram((n - c, c)), rule, ONE_PREMISE)[0]
+
+
 def test_verdict_monotone_in_support():
     rng = random.Random(11)
     for _ in range(200):
@@ -151,11 +174,11 @@ def test_verdict_monotone_in_support():
         q = Fraction(rng.randint(0, den), den)
         d = rng.randint(0, 1)
         n = rng.randint(1, 9)
-        verdicts = [count_verdict(Fraction(c), Fraction(n), q, d) for c in range(n + 1)]
+        verdicts = [_premise_verdict(c, n, q, d) for c in range(n + 1)]
         assert all(a <= b for a, b in zip(verdicts, verdicts[1:]))
 
 
-def test_count_verdict_agrees_with_acceptance_count():
+def test_apply_quota_agrees_with_acceptance_count():
     # denominators up to and past int64, so no fixed-width arithmetic can pass by luck
     rng = random.Random(23)
     dens = (1, 2, 3, 7, 10**18, 10**19, 2**63 + 1, 2**64 + 13)
@@ -172,7 +195,7 @@ def test_count_verdict_agrees_with_acceptance_count():
             accept = acceptance_count(q, d, n)
             assert 0 <= accept <= n + 1
             for c in range(n + 1):
-                assert (c >= accept) == count_verdict(Fraction(c), Fraction(n), q, d)
+                assert (c >= accept) == _premise_verdict(c, n, q, d)
 
 
 def test_outcome_slices_edge_ranges():
@@ -196,7 +219,8 @@ def test_independence_of_other_coordinates():
     # never changes that proposition's verdict
     h1 = Histogram((Fraction(2), Fraction(1), Fraction(2), Fraction(1)))
     h2 = Histogram((Fraction(3), Fraction(0), Fraction(2), Fraction(1)))
-    assert proposition_weight(h1, 1, AND2) == proposition_weight(h2, 1, AND2)
+    assert threshold_gaps(h1.weights, h1.n, MAJ, AND2)[0] == \
+        threshold_gaps(h2.weights, h2.n, MAJ, AND2)[0]
     assert apply_quota(h1, MAJ, AND2)[0] == apply_quota(h2, MAJ, AND2)[0]
 
 

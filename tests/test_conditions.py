@@ -15,14 +15,14 @@ from paradox_lab import (
     check_kappa1,
     check_kappa4,
     feasible_sign_pattern,
+    is_tied,
     kappa_conditions,
     parse_instance,
-    proposition_weight,
     reachable_counts,
     refinements,
     sign_pattern_of,
     sign_pattern_witness,
-    support_probability,
+    threshold_gaps,
 )
 from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
@@ -133,12 +133,13 @@ def test_kappa1_examples():
 def test_proposition_index_out_of_range():
     pi = FractionalVote.of(["1/10", "2/10", "3/10", "4/10"])
     h = Histogram(pi.weights)
-    assert support_probability(pi, 3, AND2) == Fraction(2, 5)
+    # support 2/5 for the conclusion against the quota 1/2
+    assert threshold_gaps(pi.weights, 1, MAJ, AND2)[2] == Fraction(1, 10)
+    assert sum(c * w for c, w in zip(characteristic_vector(3, MAJ, AND2), pi.weights)) == \
+        Fraction(1, 10)
     for i in (0, AND2.p + 2):
         with pytest.raises(ValueError):
-            support_probability(pi, i, AND2)
-        with pytest.raises(ValueError):
-            proposition_weight(h, i, AND2)
+            is_tied(h, i, MAJ, AND2)
         with pytest.raises(ValueError):
             characteristic_vector(i, MAJ, AND2)
 

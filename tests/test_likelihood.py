@@ -676,6 +676,15 @@ def test_compositions_cover_and_order():
     combos = list(compositions(3, 2))
     assert combos == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert len(list(compositions(5, 3))) == math.comb(7, 2)
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
+    assert list(compositions(4, 1)) == [(4,)]
+
+
+@pytest.mark.parametrize("n, parts", [(3, 0), (3, -1), (-2, 1), (-1, 3)])
+def test_compositions_reject_bad_arguments(n, parts):
+    # no parts used to recurse without end; a negative total used to be yielded
+    with pytest.raises(ValueError):
+        list(compositions(n, parts))
 
 
 def test_resource_budgets_raise():

@@ -18,8 +18,15 @@ from paradox_lab import (
     in_polyhedron_exact,
     paradox_region,
     refinements,
+    threshold_gaps,
 )
-from conftest import enumerate_histograms, exact_rank, lp_cone_dimension, random_rule
+from conftest import (
+    enumerate_histograms,
+    exact_rank,
+    lp_cone_dimension,
+    random_distribution,
+    random_rule,
+)
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -32,6 +39,27 @@ def test_characteristic_vectors_single_premise():
     c2 = characteristic_vector(2, RULE6, MIRROR)
     assert c1 == (Fraction(1, 4), Fraction(-3, 4))
     assert c2 == (Fraction(13, 20), Fraction(-7, 20))
+
+
+ONE_COMPARISON_SEED = 20
+
+
+def test_rows_and_refinements_read_the_threshold_gaps():
+    # the polyhedron rows, the verdicts and the refinements are one comparison
+    rng = random.Random(ONE_COMPARISON_SEED)
+    for _ in range(150):
+        p = rng.randint(1, 3)
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        rule = random_rule(rng, p + 1)
+        x = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(agenda.m)]
+        if sum(x) == 0:
+            x[0] = Fraction(1)
+        gaps = threshold_gaps(x, sum(x), rule, agenda)
+        for i in range(1, p + 2):
+            row = characteristic_vector(i, rule, agenda)
+            assert gaps[i - 1] == sum(c * w for c, w in zip(row, x)), (agenda, rule, x, i)
+        pi = random_distribution(rng, agenda.m)
+        assert apply_quota(Histogram(pi.weights), rule, agenda) in refinements(pi, rule, agenda)
 
 
 def test_characteristic_vector_constant_conclusion():
