@@ -11,16 +11,14 @@ the outcomes that :func:`~paradox_lab.aggregation.paradox_table` marks;
 Monte Carlo reads its verdicts from the same table, and all assignments
 share each member's sampled agents (see :func:`monte_carlo_estimate`), so
 estimates are correlated across assignments while each stays unbiased with
-the same Wald standard error. The rational
-engine runs that kernel on Python-int numerators: member k's weights become
-integers over D_k, the least common denominator of its weights, and the
-common denominator prod_k D_k^(c_k) is applied once at the end. The float
-engines run the same kernel in float64 when every nonzero product of n
-weights provably stays far inside float64's normal range, and in longdouble
-otherwise (see :func:`_float_dtype`); :func:`_number_type` picks the engine
-once per run, by one rule for every exact probability. Every float result is
-checked, as the float64 value returned, against the forward-error bound of
-its nonnegative multiply-add chain (see :func:`_check_error_bound`).
+the same Wald standard error. The rational engine runs that kernel on
+Python-int numerators: member k's weights become integers over D_k, the
+least common denominator of its weights, and the common denominator
+prod_k D_k^(c_k) is applied once at the end. The float engine runs it in
+float64 on every platform, and :func:`_number_type` picks the engine once
+per run, by one rule. Every float result is checked against its error bound:
+a relative gamma_N plus an absolute A for roundings below float64's normal
+range (see :func:`_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
 assignment tree gives each assignment's probability: the last member's
 absorption chain, by :func:`~paradox_lab.aggregation._absorb_step`, is
@@ -36,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -62,8 +60,7 @@ DEFAULT_DENOMINATOR_BITS = 4096
 DEFAULT_ASSIGNMENT_BUDGET = 50_000
 # auto extremes run on integer numerators below this n and in floats from it on
 _AUTO_FLOAT_MIN_N = 10
-# 1022 - 53: a product of weights at least 2^-969 lies 53 bits above the
-# smallest normal float64, so every rounding near it stays within eps/2 relative
+# 1022 - 53: a chain whose products of n weights are all >= 2^-969 has A = 0
 _FLOAT64_RANGE_BITS = 969
 # counts one Monte Carlo chunk holds per member: trials * (n + 1) * (p + 1)
 _MC_CHUNK_CELLS = 1 << 19
@@ -168,7 +165,8 @@ def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], li
     """Each member's weights in ``dtype`` with D_k, the LCD of its weights.
 
     For ``object`` the weights are the integer numerators w * D_k, so c_k
-    agents of member k put D_k^(c_k) into the common denominator.
+    agents of member k put D_k^(c_k) into the common denominator. A float
+    weight is w rounded once, and a bool one its nonzero mask, w != 0.
     """
     weights, lcds = [], []
     for member in dists.members:
@@ -176,96 +174,88 @@ def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], li
         if dtype is object:
             weights.append([w.numerator * (lcd // w.denominator) for w in member.weights])
         else:
-            weights.append([dtype(w.numerator) / dtype(w.denominator) for w in member.weights])
+            weights.append([dtype(w) for w in member.weights])
         lcds.append(lcd)
     return weights, lcds
 
 
-def _float_dtype(dists: DistributionSet, n: int) -> type:
-    """The float type of an n-agent chain: float64 iff n*log2(1/eps_min) <= 969.
+def _number_type(dists: DistributionSet, n: int, value_mode: str) -> tuple[type, list[int]]:
+    """(dtype, lcds) of an n-agent run, chosen once before its first step.
 
-    eps_min is the smallest positive weight over all members (zero weights
-    add no term to any sum). When the test holds, every nonzero product of n
-    weights, and so every nonzero cell of every grid, is at least 2^-969 and
-    stays a normal float64; otherwise the chain runs in longdouble. With
-    eps_min = a/b the test is b^n <= a^n * 2^969, decided in integers.
-    """
-    eps = min(w for member in dists.members for w in member.weights if w > 0)
-    fits = eps.denominator**n <= eps.numerator**n << _FLOAT64_RANGE_BITS
-    return np.float64 if fits else np.longdouble
-
-
-def _number_type(dists: DistributionSet, n: int, value_mode: str) -> tuple[type, list, list]:
-    """(dtype, weights, lcds) of an n-agent run, chosen once before its first step.
-
-    'rational' runs on the integer numerators of :func:`_member_weights`;
-    'float' runs in :func:`_float_dtype`'s dtype; and 'auto' is rational iff
-    n < _AUTO_FLOAT_MIN_N and the worst denominator of any n-agent
-    assignment, max_k D_k^n, fits DEFAULT_DENOMINATOR_BITS.
+    'rational' runs on the integer numerators of :func:`_member_weights`,
+    'float' in float64, and 'auto' is rational iff n < _AUTO_FLOAT_MIN_N and
+    max_k D_k^n, the worst denominator of any n-agent assignment, fits
+    DEFAULT_DENOMINATOR_BITS.
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
-    numerators, lcds = _member_weights(dists, object)
+    lcds = _member_weights(dists, object)[1]
     if value_mode == "rational" or (
         value_mode == "auto"
         and n < _AUTO_FLOAT_MIN_N
         and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
     ):
-        return object, numerators, lcds
-    dtype = _float_dtype(dists, n)
-    return dtype, _member_weights(dists, dtype)[0], lcds
+        return object, lcds
+    return np.float64, lcds
 
 
-def _error_bound(dtype: type, n: int, p: int) -> float:
-    """Relative error bound of a returned float probability.
+def _error_bound(dists: DistributionSet, n: int, p: int) -> tuple[float, float]:
+    """(gamma_N, A): an n-agent float64 chain returns P_hat with |P_hat - P| <= gamma_N*P + A.
 
-    gamma_N = N*u / (1 - N*u), u = eps(dtype)/2,
-    N = n*(2^p + 2p + 6) + (n+1)^(p+1). Every term of a chain probability is
-    a product over n one-agent steps. Each step rounds the weight (numerator,
-    denominator, quotient), the multiply, at most 2^p adds into the cell and
-    at most 2(p+1) adds that fold a window end, top and bottom of each axis;
-    an absorption step rounds no more, as it reads a merged index by an exact
-    edge copy. The final multiply of the walk grid by the last member's
-    absorption grid W_r and the sum over at most (n+1)^(p+1) cells add at
-    most that many roundings more. All terms are nonnegative, so the computed
-    probability is within a relative gamma_N of the exact one. A longdouble
-    result is then rounded once to float64, a relative 2^-53 more in
-    float64's normal range, for gamma_N + 2^-53 * (1 + gamma_N) in all.
+    A rounding returns x*(1 + d) + e, |d| <= u = 2^-53; e != 0 only for a
+    weight or product below 2^-1022, and |e| <= 2^-1075. A term of P is a
+    product over n one-agent steps, each rounding the weight, the multiply,
+    at most 2^p adds into the cell and 2(p+1) window-end folds (absorption
+    reads a merged index by an exact copy), and then the final multiply and
+    sum over at most (n+1)^(p+1) cells. All terms are nonnegative, so the d's
+    give gamma_N = N*u / (1 - N*u), N = n*(2^p + 2p + 4) + (n+1)^(p+1). A
+    forward step sends a cell on with weights summing to 1, so it does not
+    grow an l1 error, and an absorption step averages with them, a sup-norm
+    contraction; the final sum pairs l1 norm 1 with sup norm 1. So each e
+    reaches P_hat times at most (1 + gamma_N)^2 < 2, and A = R * 2^-1074 for
+    the R <= n*(2^p + (2^(p+1) + 2p + 2)*(n+1)^(p+1)) + 2*(n+1)^(p+1)
+    roundings of the run. A = 0 when n*log2(1/eps_min) <= 969, eps_min the
+    smallest positive weight (decided in integers): every nonzero product of
+    n weights is then a normal float64.
     """
-    steps = n * ((1 << p) + 2 * p + 6) + (n + 1) ** (p + 1)
-    unit = steps * float(np.finfo(dtype).eps) / 2
-    gamma = unit / (1 - unit)
-    if dtype is np.float64:
-        return gamma
-    return gamma + float(np.finfo(np.float64).eps) / 2 * (1 + gamma)
+    unit = (n * ((1 << p) + 2 * p + 4) + (n + 1) ** (p + 1)) * 2.0**-53
+    cells = (n + 1) ** (p + 1)
+    roundings = n * ((1 << p) + ((2 << p) + 2 * p + 2) * cells) + 2 * cells
+    eps = min(w for member in dists.members for w in member.weights if w > 0)
+    fits = eps.denominator**n <= eps.numerator**n << _FLOAT64_RANGE_BITS
+    return unit / (1 - unit), 0.0 if fits else roundings * 2.0**-1074
 
 
-def _check_error_bound(probs: np.ndarray, dtype: type, n: int, p: int) -> np.ndarray:
-    """The probabilities as returned, in float64, checked against :func:`_error_bound`.
+def _check_error_bound(probs: np.ndarray, bound: tuple[float, float],
+                       reaches: Callable[[], Sequence]) -> np.ndarray:
+    """``probs``, checked against ``bound``, the (gamma_N, A) of :func:`_error_bound`.
 
-    Raise FloatingPointError unless every float64 value lies in
-    [0, 1 + bound], and unless every positive probability stays in float64's
-    normal range, where the relative bound holds: a longdouble chain can go
-    below it, and a positive probability must not come back as 0.0.
+    Raise FloatingPointError unless every value lies in [0, 1 + gamma_N + A],
+    every positive one is at least 2^52 * A (where A adds at most 2^-52
+    relative), and every 0.0 is exact: when A > 0, ``reaches()`` runs the same
+    chain on bool grids with the nonzero-weight masks, and a 0.0 whose paradox
+    outcomes it reaches is a positive probability lost to underflow.
     """
-    out = np.asarray(probs, dtype=np.float64)
-    bound = 1 + _error_bound(dtype, n, p)
-    if not np.all((out >= 0) & (out <= bound)):
+    gamma, absolute = bound
+    if not np.all((probs >= 0) & (probs <= 1 + gamma + absolute)):
         raise FloatingPointError(
-            f"float probabilities outside [0, 1 + {bound - 1:.3g}]: "
-            f"min {out.min()!r}, max {out.max()!r}"
+            f"float probabilities outside [0, 1 + {gamma + absolute:.3g}]: "
+            f"min {probs.min()!r}, max {probs.max()!r}"
         )
-    lost = (probs > 0) & (out < np.finfo(np.float64).tiny)
+    lost = (probs > 0) & (probs < 2.0**52 * absolute)
+    if absolute and not np.all(probs):
+        lost |= (probs == 0) & np.array(reaches(), dtype=bool)
     if np.any(lost):
         raise FloatingPointError(
             f"{np.count_nonzero(lost)} positive probabilities fall below float64's "
-            f"normal range; use value_mode='rational'"
+            f"error bound; use value_mode='rational'"
         )
-    return out
+    return probs
 
 
 def _results(values: Sequence, counts_list: Sequence[tuple[int, ...]], dtype: type,
-             lcds: Sequence[int], n: int, p: int) -> list[Union[Fraction, float]]:
+             lcds: Sequence[int], bound: tuple[float, float],
+             reaches: Callable[[], Sequence]) -> list[Union[Fraction, float]]:
     """Chain values as the probabilities of the assignments in ``counts_list``.
 
     An integer numerator becomes a Fraction over prod_k D_k^(c_k), and float
@@ -276,8 +266,7 @@ def _results(values: Sequence, counts_list: Sequence[tuple[int, ...]], dtype: ty
             Fraction(int(value), math.prod(lcd**c for lcd, c in zip(lcds, counts)))
             for value, counts in zip(values, counts_list)
         ]
-    checked = _check_error_bound(np.array(values, dtype=dtype), dtype, n, p)
-    return [float(value) for value in checked]
+    return _check_error_bound(np.array(values, dtype=np.float64), bound, reaches).tolist()
 
 
 def exact_paradox_probability(
@@ -291,22 +280,25 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    Both engines convolve by
-    :func:`~paradox_lab.aggregation.final_count_grid`, and ``state_budget``
-    caps the cells of its largest grid. The number type is
-    :func:`_number_type`'s, the same as :func:`smoothed_extremes` runs at
-    this n: ``'rational'`` returns
-    an exact fraction, ``'float'`` a float checked against
-    :func:`_error_bound`, and ``'auto'`` either, by one rule.
+    Both engines convolve by :func:`~paradox_lab.aggregation.final_count_grid`,
+    and ``state_budget`` caps the cells of its largest grid. The number type
+    is :func:`_number_type`'s, as :func:`smoothed_extremes` runs at this n:
+    ``'rational'`` returns an exact fraction, ``'float'`` a float checked
+    against :func:`_error_bound`, and ``'auto'`` either, by one rule.
     """
     assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
     n = assignment.n
-    dtype, weights, lcds = _number_type(dists, n, value_mode)
-    agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
-    grid = final_count_grid(agents, proposition_patterns(agenda), rule, dtype, state_budget)
-    mass = (grid * paradox_table(agenda)[outcome_slices(rule, n)]).sum()
-    return _results([mass], [assignment.counts], dtype, lcds, n, agenda.p)[0]
+    dtype, lcds = _number_type(dists, n, value_mode)
+    patterns, table = proposition_patterns(agenda), paradox_table(agenda)[outcome_slices(rule, n)]
+
+    def mass(dtype: type):
+        weights = _member_weights(dists, dtype)[0]
+        agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
+        return (final_count_grid(agents, patterns, rule, dtype, state_budget) * table).sum()
+
+    return _results([mass(dtype)], [assignment.counts], dtype, lcds,
+                    _error_bound(dists, n, agenda.p), lambda: [mass(bool)])[0]
 
 
 def histogram_distribution(
@@ -449,39 +441,46 @@ def _exact_assignment_probabilities(
 
     The last member's absorption chain is computed once: W_r(t) is
     P(paradox | counts t of the other n - r agents, r agents of the last
-    member), on the window of n - r agents, and W_0 is the paradox
-    indicator. Members 0..l-2 are walked depth-first in lexicographic order,
-    one :func:`~paradox_lab.aggregation._grid_step` per tree node, and a leaf
-    whose grid holds a agents is the assignment with n - a agents on the
-    last member, of probability (grid * W_{n-a}).sum(). One member reads
-    only W_n, so it keeps just the newest W_r and is charged the largest
-    window, as :func:`exact_paradox_probability` is. More members are
-    charged the stored chain plus the l - 2 walk grids held above the
-    current one, each at most the largest window. The number type is
-    :func:`_number_type`'s.
+    member) on the window of n - r agents, W_0 the paradox indicator.
+    Members 0..l-2 are walked depth-first in lexicographic order, one
+    :func:`~paradox_lab.aggregation._grid_step` per tree node, and a leaf whose
+    grid holds a agents is the assignment with n - a agents on the last member,
+    of probability (grid * W_{n-a}).sum(). One member reads only W_n, so it
+    keeps just the newest W_r and is charged the largest window, as
+    :func:`exact_paradox_probability` is. More members are charged the stored
+    chain plus the l - 2 walk grids held above the current one, each at most the
+    largest window. The number type is :func:`_number_type`'s. Each ``tree``
+    call's chain dies with it, before the results are checked; on bool masks the
+    tree marks the leaves that reach a paradox.
     """
-    dtype, weights, lcds = _number_type(dists, n, value_mode)
+    dtype, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
     windows = count_windows(rule, n)
     cells = [window_cells(window) for window in windows]
-    entries = max(cells)
-    if dists.size > 1:
-        entries = sum(cells) + (dists.size - 2) * max(cells)
+    entries = max(cells) if dists.size == 1 else sum(cells) + (dists.size - 2) * max(cells)
     charge("assignment tree", entries, state_budget)
-    absorb = [paradox_table(agenda)[outcome_slices(rule, n)].astype(dtype)]
-    for before, after in reversed(list(zip(windows, windows[1:]))):
-        absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
-        if dists.size == 1:
-            del absorb[0]
+    table = paradox_table(agenda)[outcome_slices(rule, n)]
 
-    counts_list, values = [], []
-    root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
-    for head, grid in _walk(root, weights[:-1], patterns, windows):
-        agents = sum(head)
-        counts_list.append(head + (n - agents,))
-        # W_{n - agents}, counted from the end so that one member's W_n is found
-        values.append((grid * absorb[-1 - agents]).sum())
-    return list(zip(counts_list, _results(values, counts_list, dtype, lcds, n, agenda.p)))
+    def tree(dtype: type) -> tuple[list, list]:
+        weights = _member_weights(dists, dtype)[0]
+        absorb = [table.astype(dtype)]
+        for before, after in reversed(list(zip(windows, windows[1:]))):
+            absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
+            if dists.size == 1:
+                del absorb[0]
+        counts_list, values = [], []
+        root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
+        for head, grid in _walk(root, weights[:-1], patterns, windows):
+            agents = sum(head)
+            counts_list.append(head + (n - agents,))
+            # W_{n - agents}, counted from the end so that one member's W_n is found
+            values.append((grid * absorb[-1 - agents]).sum())
+        return counts_list, values
+
+    counts_list, values = tree(dtype)
+    probs = _results(values, counts_list, dtype, lcds, _error_bound(dists, n, agenda.p),
+                     lambda: tree(bool)[1])
+    return list(zip(counts_list, probs))
 
 
 def smoothed_extremes(

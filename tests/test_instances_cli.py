@@ -257,7 +257,8 @@ def test_cli_sweep_mc_reproducible(tmp_path):
 
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
     # at n = 12 the probability of (12, 0), about 924 * 2^-2760, is positive but
-    # below float64's range, so the longdouble chain fails its error check
+    # below float64's range: the float64 chain returns it as 0.0, and a bool run
+    # of the same chain reaches a paradox outcome, so the error check fails
     data = json.loads((INSTANCE_DIR / "single_premise_mirror.json").read_text())
     tiny = Fraction(1, 2**460)
     data["distributions"] = [[str(1 - tiny), str(tiny)], ["3/10", "7/10"]]

@@ -30,7 +30,6 @@ from paradox_lab.likelihood import (
     _check_error_bound,
     _error_bound,
     _exact_assignment_probabilities,
-    _float_dtype,
 )
 from conftest import (
     CAPPED_RULE,
@@ -393,18 +392,22 @@ TINY = Fraction(1, 2**19)
 
 
 @pytest.mark.parametrize(
-    "rows, n, dtype",
+    "rows, n, exact_range",
     [
         # 51 * 19 = 969 agent-weight bits fit float64's guard, 52 * 19 = 988 do not
-        ([[1 - TINY, TINY], ["1/2", "1/2"]], 51, np.float64),
-        ([[1 - TINY, TINY], ["1/2", "1/2"]], 52, np.longdouble),
+        ([[1 - TINY, TINY], ["1/2", "1/2"]], 51, True),
+        ([[1 - TINY, TINY], ["1/2", "1/2"]], 52, False),
         # a zero weight adds no term, so it does not count as the smallest weight
-        ([[1, 0], [1 - TINY, TINY]], 51, np.float64),
-        ([[1, 0], [1 - TINY, TINY]], 52, np.longdouble),
+        ([[1, 0], [1 - TINY, TINY]], 51, True),
+        ([[1, 0], [1 - TINY, TINY]], 52, False),
     ],
 )
-def test_float_dtype_guard_boundary(rows, n, dtype):
-    assert _float_dtype(_dists(*rows), n) is dtype
+def test_float_range_guard_boundary(rows, n, exact_range):
+    # the guard sets the absolute term A of the bound, not the number type
+    gamma, absolute = _error_bound(_dists(*rows), n, 1)
+    assert 0 < gamma < 1e-9
+    assert (absolute == 0) is exact_range
+    assert absolute < 2.0**-990
 
 
 @pytest.mark.parametrize(
@@ -424,7 +427,7 @@ def test_assignment_tree_error_within_bound(name, extra, ns, request):
     dists = DistributionSet(inst.distributions.members + tuple(extra))
     rule, agenda = inst.rule, inst.agenda
     for n in ns:
-        bound = Fraction(_error_bound(_float_dtype(dists, n), n, agenda.p))
+        gamma, absolute = map(Fraction, _error_bound(dists, n, agenda.p))
         chain = _exact_assignment_probabilities(
             dists, n, rule, agenda, "auto", DEFAULT_STATE_BUDGET
         )
@@ -432,24 +435,41 @@ def test_assignment_tree_error_within_bound(name, extra, ns, request):
         for counts, prob in chain:
             exact = exact_paradox_probability(counts, dists, rule, agenda,
                                               value_mode="rational")
-            assert abs(Fraction(prob) - exact) <= bound * exact, (n, counts, prob, exact)
+            assert abs(Fraction(prob) - exact) <= gamma * exact + absolute, (n, counts, prob, exact)
 
 
 def test_error_bound_check_rejects_out_of_range():
-    bound = _error_bound(np.float64, 14, 2)
-    assert 0 < bound < 1e-11
-    _check_error_bound(np.array([0.0, 0.5, 1.0, 1.0 + bound / 2]), np.float64, 14, 2)
-    for bad in (-1e-300, 1.0 + 2 * bound, float("nan")):
+    def unreachable():
+        return [False, False]
+
+    def reachable():
+        return [True, True]
+
+    gamma, absolute = bound = _error_bound(EXPSMALL, 14, 2)
+    assert 0 < gamma < 1e-11 and absolute == 0
+    _check_error_bound(np.array([0.0, 0.5, 1.0, 1.0 + gamma / 2]), bound, reachable)
+    for bad in (-1e-300, 1.0 + 2 * gamma, float("nan")):
         with pytest.raises(FloatingPointError):
-            _check_error_bound(np.array([0.5, bad]), np.float64, 14, 2)
+            _check_error_bound(np.array([0.5, bad]), bound, reachable)
+    # past the guard: a positive value within 2^52 * A of 0, or a 0.0 whose
+    # paradox outcomes a bool run reaches, may be a lost positive probability
+    bound = _error_bound(_dists([1 - TINY, TINY], ["1/2", "1/2"]), 60, 1)
+    floor = 2.0**52 * bound[1]
+    assert 0 < floor < 1e-290
+    _check_error_bound(np.array([0.5, floor]), bound, reachable)
+    _check_error_bound(np.array([0.5, 0.0]), bound, unreachable)
+    for bad, reaches in ((floor / 2, unreachable), (0.0, reachable)):
+        with pytest.raises(FloatingPointError):
+            _check_error_bound(np.array([0.5, bad]), bound, reaches)
 
 
-def test_tiny_weight_runs_longdouble_and_matches_rational():
-    # 20 * 60 agent-weight bits exceed float64's guard; the extremes still
-    # sit far inside float64 (the minimum is about C(20, 10) * 2^-600)
+def test_tiny_weight_runs_float64_and_matches_rational():
+    # 20 * 60 agent-weight bits exceed float64's guard, so the bound carries
+    # an absolute term; the extremes still sit far inside float64 (the
+    # minimum is about C(20, 10) * 2^-600)
     tiny = Fraction(1, 2**60)
     dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
-    assert _float_dtype(dists, 20) is np.longdouble
+    assert _error_bound(dists, 20, MIRROR.p)[1] > 0
     fast = smoothed_extremes(dists, 20, MIRROR_RULE, MIRROR, mode="exact")
     slow = smoothed_extremes(dists, 20, MIRROR_RULE, MIRROR, mode="exact",
                              value_mode="rational")
@@ -460,15 +480,27 @@ def test_tiny_weight_runs_longdouble_and_matches_rational():
     assert fast.max_witness == slow.max_witness
 
 
-def test_longdouble_results_checked_as_returned_float64():
-    # a longdouble chain whose results are rounded to float64: (7, 1) and
-    # (8, 0) are positive but below 2^-1074, and the other assignments carry
-    # the rounding to float64 on top of gamma_N
+def test_float_weights_of_fractions_beyond_float64_range():
+    # numerator and denominator above 2^1024 do not fit a float64 each, but
+    # the weight, rounded once from the exact fraction, does
+    half = Fraction(2**1100 + 1, 2**1101)
+    dists = _dists([half, 1 - half], ["3/10", "7/10"])
+    fast = smoothed_extremes(dists, 12, MIRROR_RULE, MIRROR, value_mode="float")
+    slow = smoothed_extremes(dists, 12, MIRROR_RULE, MIRROR, value_mode="rational")
+    assert fast.max_probability == pytest.approx(float(slow.max_probability), rel=1e-12)
+    assert fast.min_probability == pytest.approx(float(slow.min_probability), rel=1e-12)
+    assert (fast.max_witness, fast.min_witness) == (slow.max_witness, slow.min_witness)
+
+
+def test_probabilities_below_float64_raise():
+    # (7, 1) and (8, 0) are positive but below 2^-1074, so float64 loses
+    # them; the other assignments, down to about 8e-277, are within
+    # gamma_N * P + A of the exact value
     tiny = Fraction(1, 2**460)
     dists = _dists([1 - tiny, tiny], ["3/10", "7/10"])
     n = 8
-    assert _float_dtype(dists, n) is np.longdouble
-    bound = Fraction(_error_bound(np.longdouble, n, MIRROR.p))
+    gamma, absolute = map(Fraction, _error_bound(dists, n, MIRROR.p))
+    assert absolute > 0
     for k in range(n + 1):
         counts = (k, n - k)
         exact = exact_paradox_probability(counts, dists, MIRROR_RULE, MIRROR,
@@ -481,10 +513,56 @@ def test_longdouble_results_checked_as_returned_float64():
         else:
             prob = exact_paradox_probability(counts, dists, MIRROR_RULE, MIRROR,
                                              value_mode="float")
-            assert abs(Fraction(prob) - exact) <= bound * exact, (counts, prob, exact)
+            assert abs(Fraction(prob) - exact) <= gamma * exact + absolute, (counts, prob, exact)
     with pytest.raises(FloatingPointError):
         _exact_assignment_probabilities(dists, n, MIRROR_RULE, MIRROR, "float",
                                         DEFAULT_STATE_BUDGET)
+
+
+@pytest.mark.parametrize("n", [9, 21])
+def test_true_zeros_past_the_guard_come_back_zero(n):
+    # at odd n the mirror rule has no tie, so every probability is exactly 0;
+    # past the guard a 0.0 is returned only once a bool run of the same chain
+    # finds no paradox outcome reachable
+    tiny = Fraction(1, 2**460)
+    for rows in (([1 - tiny, tiny], ["3/10", "7/10"]), ([1, 0], [1 - tiny, tiny])):
+        dists = _dists(*rows)
+        assert _error_bound(dists, n, MIRROR.p)[1] > 0
+        for k in (0, 1, n):
+            prob = exact_paradox_probability((k, n - k), dists, MIRROR_RULE, MIRROR,
+                                             value_mode="float")
+            assert prob == 0.0 and type(prob) is float
+        extremes = smoothed_extremes(dists, n, MIRROR_RULE, MIRROR, value_mode="float")
+        assert extremes.max_probability == extremes.min_probability == 0.0
+        assert extremes.max_witness == extremes.min_witness == Assignment((0, n))
+
+
+def test_zero_weight_member_is_a_true_zero_past_the_guard():
+    # at even n a tie on the mirror rule is a paradox; member (1, 0) puts no
+    # agent on the second judgement, so (n, 0) is exactly 0 and the bool run
+    # on its nonzero-weight masks reaches no paradox outcome, while (0, n),
+    # about C(n, n/2) * 2^-2300, underflows float64 and raises
+    tiny = Fraction(1, 2**460)
+    dists = _dists([1, 0], [1 - tiny, tiny])
+    n = 10
+    assert exact_paradox_probability((n, 0), dists, MIRROR_RULE, MIRROR,
+                                     value_mode="float") == 0.0
+    assert exact_paradox_probability((0, n), dists, MIRROR_RULE, MIRROR,
+                                     value_mode="rational") > 0
+    with pytest.raises(FloatingPointError):
+        exact_paradox_probability((0, n), dists, MIRROR_RULE, MIRROR, value_mode="float")
+    with pytest.raises(FloatingPointError):
+        smoothed_extremes(dists, n, MIRROR_RULE, MIRROR, value_mode="float")
+    # at n = 52, past the guard for 2^-19, a tie needs 26 agents of the second
+    # member: (k, 52 - k) is exactly 0 for k > 26, and about 2^-494 * C(52 - k, 26)
+    # otherwise, so the tree's bool run must read the masks to keep its 0.0s
+    dists = _dists([1, 0], [1 - TINY, TINY])
+    fast = smoothed_extremes(dists, 52, MIRROR_RULE, MIRROR, value_mode="float")
+    slow = smoothed_extremes(dists, 52, MIRROR_RULE, MIRROR, value_mode="rational")
+    assert fast.min_probability == slow.min_probability == 0
+    assert fast.min_witness == slow.min_witness == Assignment((27, 25))
+    assert fast.max_probability == pytest.approx(float(slow.max_probability), rel=1e-12)
+    assert fast.max_witness == slow.max_witness
 
 
 def test_monte_carlo_reproducible_and_calibrated():
