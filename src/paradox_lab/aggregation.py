@@ -186,11 +186,15 @@ def _absorb_step(
 
     ``values`` lies on window ``after``, the result on ``before``: entry t
     sums w * values[class of count lo + t + pattern], read from ``values``
-    edge-padded by lo' - lo below and hi + 1 - hi' above.
+    edge-padded by lo' - lo below and hi + 1 - hi' above, axis by axis.
     """
-    edges = [(lo2 - lo, hi + 1 - hi2) for (lo, hi), (lo2, hi2) in zip(before, after)]
-    padded = np.pad(values, edges, mode="edge")
     box = tuple(hi - lo + 1 for lo, hi in before)
+    padded = np.empty(tuple(b + 1 for b in box), dtype=values.dtype)
+    below = [lo2 - lo for (lo, _), (lo2, _) in zip(before, after)]
+    padded[tuple(slice(b, b + side) for b, side in zip(below, values.shape))] = values
+    for axis, (b, side) in enumerate(zip(below, values.shape)):
+        view = padded.swapaxes(0, axis)
+        view[:b], view[b + side :] = view[b], view[b + side - 1]
     new = np.zeros(box, dtype=values.dtype)
     for w, pat in zip(weights, patterns):
         if w == 0:

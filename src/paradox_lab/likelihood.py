@@ -112,7 +112,10 @@ class HistogramDistribution:
     agents: int
 
     def total(self) -> Fraction:
-        return sum(self.probabilities.values(), Fraction(0))
+        """Sum of the probabilities: their numerators over the LCM of their denominators."""
+        lcd = math.lcm(*(p.denominator for p in self.probabilities.values()))
+        return Fraction(sum(p.numerator * (lcd // p.denominator)
+                            for p in self.probabilities.values()), lcd)
 
 
 @dataclass(frozen=True)
@@ -305,22 +308,30 @@ def histogram_distribution(
     assignment: Union[Assignment, Sequence[int]],
     dists: DistributionSet,
 ) -> HistogramDistribution:
-    """Exact law of the integer histogram under the assignment (rational only)."""
+    """Exact law of the integer histogram under the assignment (rational only).
+
+    A histogram is one integer key, its counts the digits base n+1. Per nonzero w_j
+    an agent adds place[j] to each key and multiplies each numerator by w_j; a stable
+    sort merges equal keys. Keys are int64 while (n+1)^m - 1 fits, else Python ints.
+    """
     assignment = _as_assignment(assignment, dists)
+    n, m = assignment.n, dists.m
     numerators, lcds = _member_weights(dists, object)
     denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
-    states = {(0,) * dists.m: 1}
+    key_type = np.int64 if (n + 1) ** m - 1 <= np.iinfo(np.int64).max else object
+    place = np.array([(n + 1) ** e for e in range(m - 1, -1, -1)], dtype=key_type)
+    keys, values = np.zeros(1, dtype=key_type), np.ones(1, dtype=object)
     for member_weights, count in zip(numerators, assignment.counts):
-        sparse = [(j, w) for j, w in enumerate(member_weights) if w != 0]
+        nonzero = [j for j, w in enumerate(member_weights) if w != 0]
+        step, w = place[nonzero], np.array(member_weights, dtype=object)[nonzero]
         for _ in range(count):
-            new: dict[tuple[int, ...], int] = {}
-            for hist, num in states.items():
-                for j, w in sparse:
-                    key = hist[:j] + (hist[j] + 1,) + hist[j + 1 :]
-                    new[key] = new.get(key, 0) + num * w
-            states = new
-    law = {hist: Fraction(num, denominator) for hist, num in states.items()}
-    return HistogramDistribution(law, assignment.n)
+            keys, values = (keys[:, None] + step).ravel(), (values[:, None] * w).ravel()
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            keys, values = keys[starts], np.add.reduceat(values, starts)
+    hists = map(tuple, ((keys[:, None] // place) % (n + 1)).tolist())
+    return HistogramDistribution({h: Fraction(v, denominator) for h, v in zip(hists, values)}, n)
 
 
 # ---------------------------------------------------------------------------

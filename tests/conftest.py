@@ -19,6 +19,7 @@ from paradox_lab import (
     Instance,
     QuotaRule,
     apply_quota,
+    compositions,
     is_paradox,
     parse_instance,
 )
@@ -98,20 +99,10 @@ def random_positive_members(rng: random.Random, m: int, count: int) -> Distribut
     return DistributionSet(tuple(rows))
 
 
-def enumerate_histograms(n: int, m: int):
-    """All non-negative integer histograms with total n (compositions)."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in enumerate_histograms(n - first, m - 1):
-            yield (first,) + rest
-
-
 def brute_force_outcomes(n: int, rule: QuotaRule, agenda: Agenda) -> set:
     """Every outcome vector achieved by some profile of n votes."""
     seen = set()
-    for hist in enumerate_histograms(n, agenda.m):
+    for hist in compositions(n, agenda.m):
         h = Histogram(tuple(Fraction(x) for x in hist))
         seen.add(apply_quota(h, rule, agenda))
     return seen
@@ -120,21 +111,22 @@ def brute_force_outcomes(n: int, rule: QuotaRule, agenda: Agenda) -> set:
 def brute_force_any_paradox(n: int, rule: QuotaRule, agenda: Agenda) -> bool:
     return any(
         is_paradox(Histogram(tuple(Fraction(x) for x in hist)), rule, agenda)
-        for hist in enumerate_histograms(n, agenda.m)
+        for hist in compositions(n, agenda.m)
     )
 
 
-def brute_force_paradox_probability(
-    counts, dists: DistributionSet, rule: QuotaRule, agenda: Agenda
-) -> Fraction:
-    """Sum over all ordered profiles of the product probability of paradoxes."""
+def brute_force_histogram_law(counts, dists: DistributionSet) -> dict:
+    """Law of the histogram, summed over all ordered profiles by their product probability.
+
+    Profiles with a zero-weight judgement are skipped, so no entry is 0.
+    """
     members = []
     for count, member in zip(counts, dists.members):
         members.extend([member] * count)
-    total = Fraction(0)
-    for combo in product(range(agenda.m), repeat=len(members)):
+    law: dict = {}
+    for combo in product(range(dists.m), repeat=len(members)):
         prob = Fraction(1)
-        hist = [0] * agenda.m
+        hist = [0] * dists.m
         for j, member in zip(combo, members):
             w = member.weights[j]
             if w == 0:
@@ -142,11 +134,28 @@ def brute_force_paradox_probability(
                 break
             prob *= w
             hist[j] += 1
-        if prob and is_paradox(
-            Histogram(tuple(Fraction(x) for x in hist)), rule, agenda
-        ):
-            total += prob
-    return total
+        if prob:
+            law[tuple(hist)] = law.get(tuple(hist), Fraction(0)) + prob
+    return law
+
+
+def paradox_mass(law: dict, rule: QuotaRule, agenda: Agenda) -> Fraction:
+    """Sum of a histogram law over the histograms that are paradoxes."""
+    return sum(
+        (
+            prob
+            for hist, prob in law.items()
+            if is_paradox(Histogram(tuple(Fraction(x) for x in hist)), rule, agenda)
+        ),
+        Fraction(0),
+    )
+
+
+def brute_force_paradox_probability(
+    counts, dists: DistributionSet, rule: QuotaRule, agenda: Agenda
+) -> Fraction:
+    """:func:`paradox_mass` of :func:`brute_force_histogram_law`."""
+    return paradox_mass(brute_force_histogram_law(counts, dists), rule, agenda)
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:

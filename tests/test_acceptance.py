@@ -20,6 +20,7 @@ from paradox_lab import (
     build_polyhedron,
     check_kappa1,
     classify,
+    compositions,
     exact_paradox_probability,
     fit_curve,
     in_cone,
@@ -35,7 +36,6 @@ from paradox_lab import (
 from conftest import (
     brute_force_any_paradox,
     brute_force_paradox_probability,
-    enumerate_histograms,
     random_instance,
 )
 
@@ -126,7 +126,7 @@ def test_criterion_04_region_membership_suite(theta1_instance, mirror_instance):
         alphas = list(product((0, 1), repeat=agenda.p + 1))
         polys = {alpha: build_polyhedron(alpha, rule, agenda) for alpha in alphas}
         for n in range(1, 6):
-            for raw in enumerate_histograms(n, agenda.m):
+            for raw in compositions(n, agenda.m):
                 h = Histogram(tuple(Fraction(x) for x in raw))
                 outcome = apply_quota(h, rule, agenda)
                 for alpha in alphas:

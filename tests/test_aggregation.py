@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,14 @@ from paradox_lab import (
     threshold_gaps,
 )
 from paradox_lab.aggregation import (
+    _absorb_step,
     acceptance_count,
     count_windows,
     outcome_slices,
     paradox_table,
 )
 from paradox_lab.conditions import reachable_counts
+from conftest import random_rule
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -212,6 +216,30 @@ def test_outcome_slices_edge_ranges():
     inner = QuotaRule.of(["1/2", "1/4"], [1, 0])
     assert count_windows(inner, n)[n] == ((1, 2), (1, 2))
     assert outcome_slices(inner, n) == (slice(0, 2), slice(0, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object, bool])
+def test_absorb_step_reads_the_edge_padded_grid(dtype):
+    # one pattern at a time with weight 1, the step returns the shifted box of
+    # its padded grid, so the 2^(p+1) patterns read every padded cell: each
+    # must equal np.pad(mode="edge") of the values, bit for bit
+    rng = random.Random(47)
+    draw = {np.float64: rng.random, object: lambda: rng.getrandbits(80),
+            bool: lambda: rng.random() < 0.5}[dtype]
+    for trial in range(30):
+        p, n = 1 + trial % 3, rng.randint(1, 9)
+        windows = count_windows(random_rule(rng, p + 1), n)
+        k = rng.randrange(n)
+        before, after = windows[k], windows[k + 1]
+        shape = tuple(hi - lo + 1 for lo, hi in after)
+        values = np.array([draw() for _ in range(int(np.prod(shape)))], dtype=dtype)
+        values = values.reshape(shape)
+        edges = [(lo2 - lo, hi + 1 - hi2) for (lo, hi), (lo2, hi2) in zip(before, after)]
+        padded = np.pad(values, edges, mode="edge")
+        for pat in product((0, 1), repeat=p + 1):
+            got = _absorb_step(values, [1], [pat], before, after)
+            box = padded[tuple(slice(c, c + hi - lo + 1) for c, (lo, hi) in zip(pat, before))]
+            assert got.dtype == box.dtype and np.array_equal(got, box), (trial, pat)
 
 
 def test_independence_of_other_coordinates():

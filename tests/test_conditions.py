@@ -14,6 +14,7 @@ from paradox_lab import (
     characteristic_vector,
     check_kappa1,
     check_kappa4,
+    compositions,
     feasible_sign_pattern,
     is_tied,
     kappa_conditions,
@@ -31,7 +32,6 @@ from conftest import (
     CAPPED_RULE,
     INSTANCE_DIR,
     brute_force_outcomes,
-    enumerate_histograms,
     random_instance,
     random_positive_members,
     random_rule,
@@ -322,7 +322,7 @@ def test_reachable_counts_match_histogram_enumeration():
                 accepts = [acceptance_count(q, d, n)
                            for q, d in zip(rule.thresholds, rule.breakings)]
                 expected = np.zeros((2,) * (p + 1), dtype=bool)
-                for hist in enumerate_histograms(n, agenda.m):
+                for hist in compositions(n, agenda.m):
                     alpha = tuple(
                         int(sum(h * pat[i] for h, pat in zip(hist, patterns)) >= accepts[i])
                         for i in range(p + 1)

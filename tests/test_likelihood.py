@@ -11,7 +11,6 @@ from paradox_lab import (
     DimensionError,
     DistributionSet,
     FractionalVote,
-    Histogram,
     QuotaRule,
     Rate,
     ResourceBudgetError,
@@ -19,7 +18,6 @@ from paradox_lab import (
     compositions,
     exact_paradox_probability,
     histogram_distribution,
-    is_paradox,
     monte_carlo_estimate,
     smoothed_extremes,
 )
@@ -33,7 +31,9 @@ from paradox_lab.likelihood import (
 )
 from conftest import (
     CAPPED_RULE,
+    brute_force_histogram_law,
     brute_force_paradox_probability,
+    paradox_mass,
     random_instance,
     random_positive_members,
     random_rule,
@@ -143,17 +143,6 @@ def test_p3_many_members_match_enumeration(three_majority_instance, three_quota_
                                                             inst.agenda)
 
 
-def _paradox_mass(law, rule, agenda):
-    return sum(
-        (
-            prob
-            for hist, prob in law.probabilities.items()
-            if is_paradox(Histogram(tuple(Fraction(x) for x in hist)), rule, agenda)
-        ),
-        Fraction(0),
-    )
-
-
 def test_p3_many_members_match_histogram_law(three_majority_instance, three_quota_instance):
     # cross-checks the count-grid kernel against the histogram-space law
     rng = random.Random(12)
@@ -164,7 +153,7 @@ def test_p3_many_members_match_histogram_law(three_majority_instance, three_quot
         assert law.total() == 1
         assert exact_paradox_probability(counts, dists, inst.rule, inst.agenda,
                                          value_mode="rational") == (
-            _paradox_mass(law, inst.rule, inst.agenda)
+            paradox_mass(law.probabilities, inst.rule, inst.agenda)
         )
 
 
@@ -190,7 +179,7 @@ def test_windowed_probability_matches_histogram_law_on_random_rules():
             law = histogram_distribution(counts, dists)
             assert exact_paradox_probability(
                 counts, dists, rule, agenda, value_mode="rational"
-            ) == _paradox_mass(law, rule, agenda), (trial, n, counts)
+            ) == paradox_mass(law.probabilities, rule, agenda), (trial, n, counts)
     assert edges == {"a=0", "a=n+1"}
 
 
@@ -199,6 +188,57 @@ def test_histogram_distribution_is_a_law():
     assert law.agents == 3
     assert law.total() == 1
     assert all(sum(h) == 3 for h in law.probabilities)
+
+
+def _members_with_zeros(rng: random.Random, m: int, count: int) -> DistributionSet:
+    """``count`` distinct members, integer weights 0..5 normalized, the first with a 0."""
+    rows: list[FractionalVote] = []
+    while len(rows) < count:
+        ints = [rng.randint(0, 5) for _ in range(m)]
+        if not rows:
+            ints[rng.randrange(m)] = 0
+        if not any(ints):
+            continue
+        row = FractionalVote(tuple(Fraction(x, sum(ints)) for x in ints))
+        if row not in rows:
+            rows.append(row)
+    return DistributionSet(tuple(rows))
+
+
+def _assert_is_law(law, n):
+    assert law.agents == n
+    assert law.total() == 1
+    assert all(prob != 0 for prob in law.probabilities.values())
+    assert all(type(hist) is tuple and all(type(c) is int for c in hist)
+               for hist in law.probabilities)
+
+
+def test_histogram_distribution_matches_brute_force_law():
+    # every ordered profile enumerated, against the sorted-key convolution;
+    # half the sets mix zero weights into a strictly positive member
+    rng = random.Random(2203)
+    for trial in range(24):
+        p, size = 1 + trial % 3, 1 + trial % 4
+        m = 1 << p
+        dists = (random_positive_members(rng, m, size) if trial % 2
+                 else _members_with_zeros(rng, m, size))
+        for n in range(1, 5 if p == 3 else 7):
+            counts = _random_counts(rng, n, size)
+            law = histogram_distribution(counts, dists)
+            assert law.probabilities == brute_force_histogram_law(counts, dists), (trial, counts)
+            _assert_is_law(law, n)
+
+
+@pytest.mark.parametrize("n", [233, 234, 300])
+def test_histogram_distribution_keys_past_int64(n):
+    # one p = 3 member on the first two judgements: the law is Binomial(n, 1/2).
+    # From n = 234 the key of (n, 0, ..., 0), n * (n+1)^7, passes 2^63 - 1.
+    half = DistributionSet((FractionalVote((Fraction(1, 2), Fraction(1, 2)) + (Fraction(0),) * 6),))
+    law = histogram_distribution((n,), half)
+    assert law.probabilities == {
+        (k, n - k) + (0,) * 6: Fraction(math.comb(n, k), 2**n) for k in range(n + 1)
+    }
+    _assert_is_law(law, n)
 
 
 def test_assignment_tree_float_matches_rational():

@@ -12,6 +12,7 @@ from paradox_lab import (
     apply_quota,
     build_polyhedron,
     characteristic_vector,
+    compositions,
     cone_dimension,
     in_cone,
     in_polyhedron,
@@ -21,7 +22,6 @@ from paradox_lab import (
     threshold_gaps,
 )
 from conftest import (
-    enumerate_histograms,
     exact_rank,
     lp_cone_dimension,
     random_distribution,
@@ -131,7 +131,7 @@ def test_exact_membership_equals_outcome(case):
     alphas = list(product((0, 1), repeat=agenda.p + 1))
     polys = {alpha: build_polyhedron(alpha, rule, agenda) for alpha in alphas}
     for n in range(1, 5):
-        for hist in enumerate_histograms(n, agenda.m):
+        for hist in compositions(n, agenda.m):
             h = Histogram(tuple(Fraction(x) for x in hist))
             outcome = apply_quota(h, rule, agenda)
             matches = [a for a in alphas if in_polyhedron_exact(h, polys[a])]
