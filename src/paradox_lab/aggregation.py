@@ -16,14 +16,18 @@ adjoint :func:`_absorb_step` takes a grid of values one agent back. The last
 grid sits in the table of outcome vectors at :func:`outcome_slices`, and
 :func:`paradox_table`, the one interface between count grids and verdicts,
 marks the table's inconsistent outcomes for the κ checks, the exact
-probabilities and Monte Carlo alike.
+probabilities and Monte Carlo alike. The reachable outcomes need no
+conclusion axis: :func:`_reach_step`, the max-plus form of
+:func:`_grid_step` over the premise windows, keeps per premise cell the most
+agents with conclusion 1 and the most with conclusion 0 (True weights on
+bool grids mark reachable counts only for the float error check).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -129,6 +133,42 @@ def outcome_slices(rule: QuotaRule, n: int) -> tuple[slice, ...]:
     return tuple(slice(int(a == 0), int(a <= n) + 1) for a in acceptance_counts(rule, n))
 
 
+def _shift_fold(
+    grid: np.ndarray,
+    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]],
+    before: Window,
+    after: Window,
+    combine: np.ufunc,
+) -> np.ndarray:
+    """Shift each term by its pattern and fold the window ends, both by ``combine``.
+
+    ``terms`` yields (array of ``grid``'s shape, pattern) pairs. The last
+    len(before) axes are window axes; axes ahead of them are carried along.
+    Each term is combined by the ufunc ``combine`` into a zero grid one index
+    wider per window axis, at the offsets of its pattern. The spare index is
+    folded into the top index when the top stays, and index 0 into index 1
+    when the bottom rises: merged counts have identical futures, so both
+    merges commute with every later step.
+    """
+    carried = grid.ndim - len(before)
+    ahead = (slice(None),) * carried
+    box = grid.shape[carried:]
+    new = np.zeros(grid.shape[:carried] + tuple(side + 1 for side in box), dtype=grid.dtype)
+    for term, pat in terms:
+        dst = new[ahead + tuple(slice(c, c + side) for c, side in zip(pat, box))]
+        combine(dst, term, out=dst)
+    for axis, ((lo, hi), (lo2, hi2)) in enumerate(zip(before, after)):
+        lead = ahead + (slice(None),) * axis
+        if hi2 == hi:
+            top = new[lead + (hi - lo,)]
+            combine(top, new[lead + (hi - lo + 1,)], out=top)
+        if lo2 > lo:
+            bottom = new[lead + (1,)]
+            combine(bottom, new[lead + (0,)], out=bottom)
+    return new[ahead + tuple(slice(lo2 - lo, hi2 - lo + 1)
+                             for (lo, _), (lo2, hi2) in zip(before, after))]
+
+
 def _grid_step(
     grid: np.ndarray,
     weights: Sequence,
@@ -138,26 +178,37 @@ def _grid_step(
 ) -> np.ndarray:
     """One-agent convolution from window ``before`` to ``after``: shift-add over patterns.
 
-    The shifts fill one spare index per axis, folded into the top index when
-    the top stays; index 0 is folded into index 1 when the bottom rises. Both
-    merges commute with each +0/+1 step. On bool grids with True weights
-    ``+=`` is OR: the reachable counts.
+    On bool grids with True weights the sums are ORs, the reachable counts:
+    only the underflow masks of the float error check read those.
     """
-    shape = tuple(side + 1 for side in grid.shape)
-    new = np.zeros(shape, dtype=grid.dtype)
-    for w, pat in zip(weights, patterns):
-        if w == 0:
-            continue
-        dst = tuple(slice(c, c + side) for c, side in zip(pat, grid.shape))
-        # 1 * x is exact in every dtype, and skipping it spares a temporary
-        new[dst] += grid if w == 1 else w * grid
-    for axis, ((lo, hi), (lo2, hi2)) in enumerate(zip(before, after)):
-        axes = (slice(None),) * axis
-        if hi2 == hi:
-            new[axes + (hi - lo,)] += new[axes + (hi - lo + 1,)]
-        if lo2 > lo:
-            new[axes + (1,)] += new[axes + (0,)]
-    return new[tuple(slice(lo2 - lo, hi2 - lo + 1) for (lo, _), (lo2, hi2) in zip(before, after))]
+    # 1 * x is exact in every dtype, and skipping it spares a temporary
+    terms = ((grid if w == 1 else w * grid, pat) for w, pat in zip(weights, patterns) if w != 0)
+    return _shift_fold(grid, terms, before, after, np.add)
+
+
+def _reach_step(
+    grid: np.ndarray,
+    conclusions: Sequence[int],
+    patterns: Sequence[tuple[int, ...]],
+    before: Window,
+    after: Window,
+) -> np.ndarray:
+    """One-agent max-plus step over premise windows, from ``before`` to ``after``.
+
+    Entry (0, v) of ``grid`` is the most agents with conclusion 1, and entry
+    (1, v) the most with conclusion 0, among the profiles whose premise counts
+    fold to cell v. Judgement j, of premise bits ``patterns[j]`` and conclusion
+    ``conclusions[j]``, shifts the grid by its bits with one agent added on
+    the row of its conclusion; shifts and folds take maxima where
+    :func:`_grid_step` sums. Zeros are the identity: with every judgement
+    allowed every premise cell of a window is reachable.
+    """
+    # raised[c] counts one more agent of conclusion c: on row 1 if c = 0, on row 0 if 1
+    raised = [grid.copy(), grid.copy()]
+    raised[0][1] += 1
+    raised[1][0] += 1
+    terms = ((raised[c], pat) for c, pat in zip(conclusions, patterns))
+    return _shift_fold(grid, terms, before, after, np.maximum)
 
 
 def final_count_grid(agents: Sequence[Sequence], patterns: Sequence[tuple[int, ...]],
@@ -165,7 +216,9 @@ def final_count_grid(agents: Sequence[Sequence], patterns: Sequence[tuple[int, .
     """The count grid after the n = len(agents) agents of weights ``agents[k]``.
 
     :func:`_grid_step` from the unit grid over :func:`count_windows`, its largest
-    window charged first: with True weights on bool it marks reachable counts.
+    window charged first. With True weights on bool it marks reachable counts,
+    which only the underflow masks of the float error check ask for; the
+    reachable outcomes come from the smaller grids of :func:`_reach_step`.
     """
     windows = count_windows(rule, len(agents))
     charge("count grid", max(map(window_cells, windows)), state_budget)

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--instance", required=True, help="instance JSON file")
     states = argparse.ArgumentParser(add_help=False)
     states.add_argument("--budget-states", type=int, default=DEFAULT_STATE_BUDGET,
-                        help="cap on probability/feasibility grid cells")
+                        help="cap on probability/feasibility grid entries")
     assignments = argparse.ArgumentParser(add_help=False)
     assignments.add_argument("--budget-assignments", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
                              help="cap on the number of distribution assignments")

@@ -2,10 +2,15 @@
 
 Feasibility of an outcome vector at population size n is decided exactly: it
 is one cell of the table of outcomes that n votes reach (built once per
-agenda, n and acceptance counts) by the forward chain of the probability
-convolution, :func:`~paradox_lab.aggregation.final_count_grid`, with True
-weights. The outcomes the κ conditions ask about are that table's cells
-marked by :func:`~paradox_lab.aggregation.paradox_table`. Sign patterns are
+agenda, n and acceptance counts). A verdict on the conclusion only asks
+whether its count z reaches its acceptance count a, so the table needs no
+conclusion axis: for each cell of the premise counts, folded on the windows
+of the probability convolution, it needs the largest z (is it >= a?) and the
+smallest (is it <= a - 1?), however the z between them are spread. One
+integer max-plus chain over the premise windows,
+:func:`~paradox_lab.aggregation._reach_step`, keeps both. The outcomes the κ
+conditions ask about are that table's cells marked by
+:func:`~paradox_lab.aggregation.paradox_table`. Sign patterns are
 the signs of :func:`~paradox_lab.aggregation.threshold_gaps`, and convex-hull
 sign-pattern feasibility is decided by an exact Phase-I simplex on the
 members' gaps scaled to integers, pivoted fraction-free, whose every answer
@@ -27,13 +32,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, charge
-from .model import Agenda, FractionalVote, QuotaRule
+from .model import Agenda, FractionalVote, QuotaRule, judgements
 from .aggregation import (
     OutcomeVector,
     _check_rule,
+    _reach_step,
     acceptance_counts,
     count_windows,
-    final_count_grid,
     outcome_slices,
     paradox_table,
     proposition_patterns,
@@ -127,20 +132,35 @@ def reachable_counts(
     """Boolean table over the 2^(p+1) outcome vectors achievable by n votes.
 
     Entry alpha is True iff some integer histogram with total n aggregates to
-    alpha. ``state_budget`` caps the cells of the largest count window.
+    alpha. The conclusion's verdict asks only whether its count z reaches
+    a = a_{p+1}, so (beta, 1) is reachable iff the largest z over the profiles
+    of premise verdicts beta is >= a, and (beta, 0) iff the smallest is
+    <= a - 1: iff the most agents of conclusion 0 is >= n - a + 1. The z of a
+    premise cell can have gaps (XOR has parity gaps), but only its extremes
+    matter, and :func:`~paradox_lab.aggregation._reach_step` keeps both over
+    the premise windows in integers of ``np.min_scalar_type(n)``.
+    ``state_budget`` caps the entries of the largest grid, 2 per premise cell.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_rule(rule, agenda)
+    p = agenda.p
+    windows = [window[:p] for window in count_windows(rule, n)]
     # charged before the lookup, so a cached table is charged as a new one is
-    charge("feasibility grid", max(map(window_cells, count_windows(rule, n))), state_budget)
+    charge("feasibility grid", 2 * max(map(window_cells, windows)), state_budget)
     # the acceptance counts fix every window; a cap min(a_i, n) would not
-    key = (agenda, n, tuple(acceptance_counts(rule, n)))
+    accepts = acceptance_counts(rule, n)
+    key = (agenda, n, tuple(accepts))
     if key not in _reach_cache:
-        table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
-        table[outcome_slices(rule, n)] = final_count_grid(
-            [(True,) * agenda.m] * n, proposition_patterns(agenda), rule, bool, state_budget
-        )
+        grid = np.zeros((2,) + (1,) * p, dtype=np.min_scalar_type(n))
+        premise_bits = judgements(p)
+        for before, after in zip(windows, windows[1:]):
+            grid = _reach_step(grid, agenda.truth_table, premise_bits, before, after)
+        a = accepts[p]
+        table = np.zeros((2,) * (p + 1), dtype=bool)
+        premises = outcome_slices(rule, n)[:p]
+        table[premises + (1,)] = grid[0] >= a
+        table[premises + (0,)] = grid[1] >= n + 1 - a
         # every caller shares the cached table: a write would change later answers
         table.flags.writeable = False
         _remember(_reach_cache, key, table)

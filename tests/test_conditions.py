@@ -17,6 +17,7 @@ from paradox_lab import (
     compositions,
     feasible_sign_pattern,
     is_tied,
+    judgements,
     kappa_conditions,
     parse_instance,
     reachable_counts,
@@ -27,7 +28,12 @@ from paradox_lab import (
 )
 from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
-from paradox_lab.aggregation import acceptance_count, proposition_patterns
+from paradox_lab.aggregation import (
+    acceptance_count,
+    final_count_grid,
+    outcome_slices,
+    proposition_patterns,
+)
 from conftest import (
     CAPPED_RULE,
     INSTANCE_DIR,
@@ -331,24 +337,64 @@ def test_reachable_counts_match_histogram_enumeration():
                 assert np.array_equal(reachable_counts(n, rule, agenda), expected)
 
 
+def _full_grid_reachable(n, rule, agenda):
+    """Reachable outcomes from the bool count grid over all p+1 axes, True weights."""
+    table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
+    table[outcome_slices(rule, n)] = final_count_grid(
+        [(True,) * agenda.m] * n, proposition_patterns(agenda), rule, bool, 10**9
+    )
+    return table
+
+
+def test_reachable_counts_match_the_full_bool_grid(monkeypatch):
+    # the max-plus grid over the premise counts keeps only the extremes of
+    # the conclusion count per premise cell; the bool grid keeps every count
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    rng = random.Random(2305)
+    cases = []
+    for i in range(240):
+        p = i % 3 + 1
+        n = rng.randint(1, 30 if p == 3 else 40)
+        # every fourth table is XOR of the premises, whose conclusion counts have parity gaps
+        truth = tuple(sum(w) % 2 if i % 4 == 0 else rng.randint(0, 1) for w in judgements(p))
+        rule = random_rule(rng, p + 1)
+        if i % 3 == 0:
+            # a_i = 0 (q = 0, d = 1) or a_i = n+1 (q = 1, d = 0) on one axis
+            thresholds, breakings = list(rule.thresholds), list(rule.breakings)
+            edge = rng.randrange(p + 1)
+            thresholds[edge], breakings[edge] = rng.choice(((Fraction(0), 1), (Fraction(1), 0)))
+            rule = QuotaRule(tuple(thresholds), tuple(breakings))
+        cases.append((Agenda(p, truth), rule, n))
+    # p = 1 at the uint8/uint16 boundary: a conclusion count that must reach
+    # n = 256, all agents on one side, wraps to 0 in uint8
+    for n in (255, 256):
+        for truth in product((0, 1), repeat=2):
+            for q, d in ((1, 1), (0, 0), (1, 0), (0, 1)):
+                cases.append((Agenda(1, truth), QuotaRule.of(["1/3", q], (1, d)), n))
+    for agenda, rule, n in cases:
+        assert np.array_equal(reachable_counts(n, rule, agenda), _full_grid_reachable(n, rule, agenda))
+
+
 def test_reachable_counts_budget_boundary(monkeypatch):
-    # acceptance counts (4, 3, 3, 2) at n = 8: after 4 or 5 votes the windows
-    # are [0, 4] x [0, 3] x [0, 3] x [0, 2], the largest grid, of
-    # 5 * 4 * 4 * 3 = 240 cells; the table holds the 2^4 outcomes
+    # acceptance counts (4, 3, 3, 2) at n = 8: the grid covers the premise
+    # windows only, and after 4 or 5 votes they are [0, 4] x [0, 3] x [0, 3],
+    # the largest, of 5 * 4 * 4 = 80 cells with 2 entries each, 160 in all;
+    # the table holds the 2^4 outcomes
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
     with pytest.raises(ResourceBudgetError):
-        reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
-    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (2, 2, 2, 2)
+        reachable_counts(8, CAPPED_RULE, agenda, state_budget=160 - 1)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=160).shape == (2, 2, 2, 2)
 
 
 def test_reachable_counts_charges_budget_before_cache(monkeypatch):
-    # a table built under a large enough budget is not handed out under a smaller one
+    # a table built under a large enough budget is not handed out under a
+    # smaller one; 160 entries as in the boundary test above
     monkeypatch.setattr(conditions, "_reach_cache", {})
     agenda = Agenda.conjunction(3)
-    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=240).shape == (2, 2, 2, 2)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=160).shape == (2, 2, 2, 2)
     with pytest.raises(ResourceBudgetError):
-        reachable_counts(8, CAPPED_RULE, agenda, state_budget=240 - 1)
+        reachable_counts(8, CAPPED_RULE, agenda, state_budget=160 - 1)
     assert len(conditions._reach_cache) == 1
 
 
