@@ -68,17 +68,18 @@ def _check_proposition(i: int, agenda: Agenda) -> None:
 
 
 def threshold_gaps(
-    weights: Sequence[Fraction], total: Fraction, rule: QuotaRule, agenda: Agenda
+    weights: Sequence[Fraction], rule: QuotaRule, agenda: Agenda
 ) -> tuple[Fraction, ...]:
     """q_i * total - support_i for i = 1..p+1, exact: < 0 above the quota, 0 at a tie.
 
-    support_i is the weight on the judgements whose proposition i is 1. The
-    caller passes the positive total weight it already holds: ``h.n`` for a
-    histogram, 1 for a distribution.
+    support_i is the weight on the judgements whose proposition i is 1, and
+    the total is the sum of the weights, which must be positive: a
+    histogram's n, 1 for a distribution.
     """
     _check_rule(rule, agenda)
     if len(weights) != agenda.m:
         raise DimensionError(f"weight length {len(weights)} != agenda m {agenda.m}")
+    total = sum(weights)
     if total <= 0:
         raise ValueError("histogram must have positive total weight")
     columns = zip(*proposition_patterns(agenda))
@@ -259,24 +260,29 @@ def _absorb_step(
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:
     """Evaluate the quota rule on a histogram: 1 above the quota, d_i at a tie, else 0."""
-    gaps = threshold_gaps(h.weights, h.n, rule, agenda)
+    gaps = threshold_gaps(h.weights, rule, agenda)
     return tuple(int(gap < 0) if gap else d for gap, d in zip(gaps, rule.breakings))
 
 
 def is_tied(h: Histogram, i: int, rule: QuotaRule, agenda: Agenda) -> bool:
     """True iff the support for proposition i equals q_i times the total weight."""
     _check_proposition(i, agenda)
-    return threshold_gaps(h.weights, h.n, rule, agenda)[i - 1] == 0
+    return threshold_gaps(h.weights, rule, agenda)[i - 1] == 0
 
 
-def is_consistent(alpha: Sequence[int], agenda: Agenda) -> bool:
-    """True iff the conclusion entry of alpha matches the truth table on its premises."""
+def _check_outcome(alpha: Sequence[int], agenda: Agenda) -> OutcomeVector:
+    """alpha as a tuple of ints, checked to hold p+1 entries, each 0 or 1."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != agenda.p + 1:
         raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
     if any(a not in (0, 1) for a in alpha):
         raise ValueError("outcome entries must be 0 or 1")
-    return not paradox_table(agenda)[alpha]
+    return alpha
+
+
+def is_consistent(alpha: Sequence[int], agenda: Agenda) -> bool:
+    """True iff the conclusion entry of alpha matches the truth table on its premises."""
+    return not paradox_table(agenda)[_check_outcome(alpha, agenda)]
 
 
 def paradox_table(agenda: Agenda) -> np.ndarray:

@@ -90,9 +90,16 @@ class DistributionSet:
         return self.epsilon > 0
 
 
+def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> None:
+    """Reject a rule or a distribution set whose dimensions disagree with the agenda's."""
+    _check_rule(rule, agenda)
+    if dists.m != agenda.m:
+        raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
+
+
 def sign_pattern_of(pi: FractionalVote, rule: QuotaRule, agenda: Agenda) -> SignPattern:
     """Per-proposition sign of (support probability - threshold): minus that of the gap."""
-    return tuple((g < 0) - (g > 0) for g in threshold_gaps(pi.weights, 1, rule, agenda))
+    return tuple((g < 0) - (g > 0) for g in threshold_gaps(pi.weights, rule, agenda))
 
 
 def refinements(
@@ -198,7 +205,7 @@ def _member_gaps(
     key = (id(dists), id(rule), id(agenda))
     if key not in _gaps_cache:
         gaps = []
-        for row in zip(*(threshold_gaps(pi.weights, 1, rule, agenda) for pi in dists.members)):
+        for row in zip(*(threshold_gaps(pi.weights, rule, agenda) for pi in dists.members)):
             lcd = math.lcm(*(g.denominator for g in row))
             gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
         _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))
@@ -293,10 +300,8 @@ def sign_pattern_witness(
     threshold that beta asks for) is its own certificate, the unit vector of
     that row, and the simplex runs only when no row refutes the pattern alone.
     """
-    _check_rule(rule, agenda)
+    _check_inputs(dists, rule, agenda)
     beta = _check_pattern(beta, agenda)
-    if dists.m != agenda.m:
-        raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
     A, b = _pattern_system(beta, _member_gaps(dists, rule, agenda))
     # a strict row with no positive coefficient refutes the pattern alone: pi = e_i
     row = next((i for i, (a, bi) in enumerate(zip(A, b)) if bi and max(a) <= 0), None)

@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import FitError
 
-FAMILIES = ("exp_plus_const", "exp_decay", "inv_sqrt_shift", "log_linear")
-
 PARAMETER_NAMES = {
     "exp_plus_const": ("amplitude", "rate", "offset"),
     "exp_decay": ("amplitude", "rate"),
     "inv_sqrt_shift": ("amplitude", "shift"),
     "log_linear": ("slope", "intercept"),
 }
+
+FAMILIES = tuple(PARAMETER_NAMES)
 
 _MAX_ITERATIONS = 500
 _STEP_TOLERANCE = 1e-10

@@ -17,6 +17,12 @@ integers; floats are rejected so values stay exact end to end. thresholds and
 breakings are arrays of length p+1 whose final entry belongs to the
 conclusion; the object form {"premises": [...], "conclusion": ...} is accepted
 as an equivalent spelling.
+
+Parsing checks only what the model types cannot: JSON types and lengths,
+entry bits, and each entry's [0, 1] range, so that the error names the entry.
+The model types check the truth table's length, each row's sum of 1, distinct
+members and matching dimensions; their ValueError, like a bad rational
+string, is reported at the field or row path.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .model import Agenda, FractionalVote, QuotaRule, format_rational
-from .conditions import DistributionSet
+from .conditions import DistributionSet, _check_inputs
 
 
 @dataclass(frozen=True)
@@ -43,35 +49,27 @@ class Instance:
     distributions: DistributionSet
 
     def __post_init__(self):
-        if self.rule.propositions != self.agenda.p + 1:
-            raise ValidationError(
-                "thresholds",
-                f"rule covers {self.rule.propositions} propositions, "
-                f"agenda needs {self.agenda.p + 1}",
-            )
-        if self.distributions.m != self.agenda.m:
-            raise ValidationError(
-                "distributions",
-                f"distributions have length {self.distributions.m}, "
-                f"agenda needs {self.agenda.m}",
-            )
+        _check_inputs(self.distributions, self.rule, self.agenda)
+
+
+def _built(path: str, make, *args):
+    """``make(*args)``, its ValueError or zero denominator reported at ``path``."""
+    try:
+        return make(*args)
+    except ZeroDivisionError:
+        raise ValidationError(path, "zero denominator") from None
+    except ValueError as exc:
+        raise ValidationError(path, str(exc)) from None
 
 
 def _rational(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(path, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise ValidationError(
             path, f"floats are not accepted; write the value as a string, e.g. \"{value}\""
         )
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(path, f"cannot parse {value!r} as a rational") from None
-    raise ValidationError(path, f"expected a rational string or integer, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(path, f"expected a rational string or integer, got {value!r}")
+    return _built(path, Fraction, value)
 
 
 def _bit(value, path: str) -> int:
@@ -120,15 +118,12 @@ def parse_instance_dict(data: dict) -> Instance:
     p = data.get("p")
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValidationError("p", f"expected a positive integer, got {p!r}")
-    m = 1 << p
 
     table = data.get("truth_table")
     if not isinstance(table, list):
         raise ValidationError("truth_table", "expected a list")
-    if len(table) != m:
-        raise ValidationError("truth_table", f"expected 2^p = {m} entries, got {len(table)}")
     truth_table = tuple(_bit(v, f"truth_table[{i}]") for i, v in enumerate(table))
-    agenda = Agenda(p, truth_table)
+    agenda = _built("truth_table", Agenda, p, truth_table)
 
     thresholds = _proposition_array(data.get("thresholds"), p, "thresholds", _rational)
     for i, q in enumerate(thresholds):
@@ -138,24 +133,19 @@ def parse_instance_dict(data: dict) -> Instance:
     rule = QuotaRule(tuple(thresholds), tuple(breakings))
 
     raw_dists = data.get("distributions")
-    if not isinstance(raw_dists, list) or not raw_dists:
-        raise ValidationError("distributions", "expected a non-empty list of distributions")
+    if not isinstance(raw_dists, list):
+        raise ValidationError("distributions", "expected a list of distributions")
     members = []
     for k, row in enumerate(raw_dists):
         path = f"distributions[{k}]"
-        if not isinstance(row, list) or len(row) != m:
-            raise ValidationError(path, f"expected a list of length 2^p = {m}")
+        if not isinstance(row, list) or len(row) != agenda.m:
+            raise ValidationError(path, f"expected a list of length 2^p = {agenda.m}")
         weights = tuple(_rational(v, f"{path}[{j}]") for j, v in enumerate(row))
         for j, w in enumerate(weights):
             if w < 0 or w > 1:
                 raise ValidationError(f"{path}[{j}]", f"weight {w} outside [0, 1]")
-        total = sum(weights, Fraction(0))
-        if total != 1:
-            raise ValidationError(path, f"weights sum to {total}, expected exactly 1")
-        members.append(FractionalVote(weights))
-    if len(set(members)) != len(members):
-        raise ValidationError("distributions", "distributions must be pairwise distinct")
-    dists = DistributionSet(tuple(members))
+        members.append(_built(path, FractionalVote, weights))
+    dists = _built("distributions", DistributionSet, tuple(members))
 
     return Instance(label, agenda, rule, dists)
 

@@ -43,7 +43,6 @@ from .model import Agenda, QuotaRule
 from .aggregation import (
     Window,
     _absorb_step,
-    _check_rule,
     _grid_step,
     acceptance_counts,
     count_windows,
@@ -53,7 +52,7 @@ from .aggregation import (
     proposition_patterns,
     window_cells,
 )
-from .conditions import DEFAULT_STATE_BUDGET, DistributionSet, kappa_conditions
+from .conditions import DEFAULT_STATE_BUDGET, DistributionSet, _check_inputs, kappa_conditions
 
 DEFAULT_TRIALS = 10**6
 DEFAULT_DENOMINATOR_BITS = 4096
@@ -156,12 +155,6 @@ def _as_assignment(a: Union[Assignment, Sequence[int]], dists: DistributionSet) 
             f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
         )
     return assignment
-
-
-def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> None:
-    _check_rule(rule, agenda)
-    if dists.m != agenda.m:
-        raise DimensionError(f"distribution length {dists.m} != agenda m {agenda.m}")
 
 
 def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
@@ -342,7 +335,6 @@ def histogram_distribution(
 def monte_carlo_estimate(
     assignment: Union[Assignment, Sequence[int], Sequence[Sequence[int]]],
     dists: DistributionSet,
-    n: int,
     rule: QuotaRule,
     agenda: Agenda,
     trials: int = DEFAULT_TRIALS,
@@ -355,8 +347,8 @@ def monte_carlo_estimate(
     then 0, and the variance of a single hit, (trials - 1) / trials^2, takes its
     place, so a rare event's error is not 0.0 (for trials >= 2). ``assignment``
     may also be a list of count vectors, as Monte Carlo :func:`smoothed_extremes`
-    passes all of them; estimates and errors then come back as two arrays in
-    that order.
+    passes all of them; they must all total the same n agents, and estimates
+    and errors then come back as two arrays in that order.
 
     All assignments share the sampled agents. Per chunk j of trials, member k
     draws its most agents once from SeedSequence(seed, spawn_key=(k, j)), one
@@ -371,9 +363,10 @@ def monte_carlo_estimate(
     many = np.ndim(assignment) == 2
     assignments = [_as_assignment(a, dists) for a in (assignment if many else [assignment])]
     _check_inputs(dists, rule, agenda)
-    for a in assignments:
-        if a.n != n:
-            raise ValueError(f"assignment totals {a.n} agents, expected n={n}")
+    totals = {a.n for a in assignments}
+    if len(totals) != 1:
+        raise ValueError(f"assignments total different numbers of agents: {sorted(totals)}")
+    n = totals.pop()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.array([a.counts for a in assignments], dtype=np.intp)
@@ -530,7 +523,7 @@ def smoothed_extremes(
         ]
     else:
         counts_list = list(compositions(n, ell))
-        estimates, stderrs = monte_carlo_estimate(counts_list, dists, n, rule, agenda, trials, seed)
+        estimates, stderrs = monte_carlo_estimate(counts_list, dists, rule, agenda, trials, seed)
         evaluated = list(zip(counts_list, estimates.tolist(), stderrs.tolist()))
 
     # both engines list assignments lexicographically, and max/min return the

@@ -124,7 +124,7 @@ class FractionalVote:
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "FractionalVote":
-        return cls(tuple(as_rational(w) for w in weights))
+        return cls(tuple(weights))
 
     @classmethod
     def point(cls, judgement: Sequence[int]) -> "FractionalVote":
@@ -230,7 +230,7 @@ class QuotaRule:
     def of(
         cls, thresholds: Iterable[RationalLike], breakings: Iterable[int]
     ) -> "QuotaRule":
-        return cls(tuple(as_rational(q) for q in thresholds), tuple(breakings))
+        return cls(tuple(thresholds), tuple(breakings))
 
     @classmethod
     def majority(cls, propositions: int, breakings: Iterable[int]) -> "QuotaRule":

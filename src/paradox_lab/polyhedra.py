@@ -20,6 +20,7 @@ from .errors import DimensionError
 from .model import Agenda, FractionalVote, Histogram, QuotaRule
 from .aggregation import (
     OutcomeVector,
+    _check_outcome,
     _check_proposition,
     _check_rule,
     inconsistent_outcomes,
@@ -64,9 +65,7 @@ def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> P
     integer histograms.
     """
     _check_rule(rule, agenda)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != agenda.p + 1:
-        raise DimensionError(f"outcome has {len(alpha)} entries, expected {agenda.p + 1}")
+    alpha = _check_outcome(alpha, agenda)
     rows, b, b_exact = [], [], []
     for i in range(1, agenda.p + 2):
         sign = 1 if alpha[i - 1] == 1 else -1

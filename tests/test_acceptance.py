@@ -238,9 +238,9 @@ def test_criterion_09_monte_carlo_calibration(randomized_instances):
     within = 0
     for agenda, rule, dists, n, counts, exact in cases:
         seed = rng.randrange(2**31)
-        est, se = monte_carlo_estimate(counts, dists, n, rule, agenda,
+        est, se = monte_carlo_estimate(counts, dists, rule, agenda,
                                        trials=100_000, seed=seed)
-        est2, se2 = monte_carlo_estimate(counts, dists, n, rule, agenda,
+        est2, se2 = monte_carlo_estimate(counts, dists, rule, agenda,
                                          trials=100_000, seed=seed)
         assert (est, se) == (est2, se2)
         if abs(est - float(exact)) <= 3 * se + 1e-15:

@@ -40,7 +40,7 @@ TABLE_HIST = Histogram((Fraction(0), Fraction(1), Fraction(3, 2), Fraction(1, 2)
 
 def test_proposition_weights_match_table():
     # supports 2, 3/2 and 1/2 against the majority quota n/2 = 3/2
-    gaps = threshold_gaps(TABLE_HIST.weights, TABLE_HIST.n, MAJ, AND2)
+    gaps = threshold_gaps(TABLE_HIST.weights, MAJ, AND2)
     assert gaps == (Fraction(-1, 2), 0, 1)
     assert all(isinstance(g, Fraction) for g in gaps)
 
@@ -48,7 +48,7 @@ def test_proposition_weights_match_table():
 def test_proposition_weight_zero_support():
     h = Histogram((Fraction(3), Fraction(0), Fraction(0), Fraction(0)))
     # no support leaves each gap at the full quota q * n
-    assert threshold_gaps(h.weights, h.n, MAJ, AND2) == (Fraction(3, 2),) * 3
+    assert threshold_gaps(h.weights, MAJ, AND2) == (Fraction(3, 2),) * 3
     assert apply_quota(h, MAJ, AND2) == (0, 0, 0)
 
 
@@ -86,9 +86,9 @@ def test_is_tied_rejects_an_empty_histogram():
 
 def test_threshold_gaps_check_their_inputs():
     with pytest.raises(DimensionError):
-        threshold_gaps(TABLE_HIST.weights[:2], TABLE_HIST.n, MAJ, AND2)
+        threshold_gaps(TABLE_HIST.weights[:2], MAJ, AND2)
     with pytest.raises(DimensionError):
-        threshold_gaps(TABLE_HIST.weights, TABLE_HIST.n, QuotaRule.majority(2, (1, 1)), AND2)
+        threshold_gaps(TABLE_HIST.weights, QuotaRule.majority(2, (1, 1)), AND2)
 
 
 def test_is_consistent():
@@ -247,8 +247,8 @@ def test_independence_of_other_coordinates():
     # never changes that proposition's verdict
     h1 = Histogram((Fraction(2), Fraction(1), Fraction(2), Fraction(1)))
     h2 = Histogram((Fraction(3), Fraction(0), Fraction(2), Fraction(1)))
-    assert threshold_gaps(h1.weights, h1.n, MAJ, AND2)[0] == \
-        threshold_gaps(h2.weights, h2.n, MAJ, AND2)[0]
+    assert threshold_gaps(h1.weights, MAJ, AND2)[0] == \
+        threshold_gaps(h2.weights, MAJ, AND2)[0]
     assert apply_quota(h1, MAJ, AND2)[0] == apply_quota(h2, MAJ, AND2)[0]
 
 

@@ -140,7 +140,7 @@ def test_proposition_index_out_of_range():
     pi = FractionalVote.of(["1/10", "2/10", "3/10", "4/10"])
     h = Histogram(pi.weights)
     # support 2/5 for the conclusion against the quota 1/2
-    assert threshold_gaps(pi.weights, 1, MAJ, AND2)[2] == Fraction(1, 10)
+    assert threshold_gaps(pi.weights, MAJ, AND2)[2] == Fraction(1, 10)
     assert sum(c * w for c, w in zip(characteristic_vector(3, MAJ, AND2), pi.weights)) == \
         Fraction(1, 10)
     for i in (0, AND2.p + 2):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from paradox_lab import (
-    ValidationError, classify, fit_curve, paradox_region, parse_instance, parse_instance_dict,
-    smoothed_extremes,
+    DimensionError, Instance, QuotaRule, ValidationError, classify, fit_curve, paradox_region,
+    parse_instance, parse_instance_dict, smoothed_extremes,
 )
 from paradox_lab.instances import instance_to_dict, write_instance
 from paradox_lab.likelihood import DEFAULT_TRIALS
@@ -110,12 +110,23 @@ def test_parse_rejects_unknown_keys():
     ("distributions", [["1/4"] * 3], "distributions[0]"),
     ("distributions", [["3/2", "-1/2", "0", "0"]], "distributions[0][0]"),
     ("distributions", [["1/4"] * 4, ["1/4"] * 4], "distributions"),
+    # left to the model types, and reported at the field or row path
+    ("distributions", [["1/4", "1/4", "1/4", "0"]], "distributions[0]"),
+    ("distributions", [["1/4"] * 4, ["2/8"] * 4], "distributions"),
+    ("truth_table", [0, 1], "truth_table"),
 ])
 def test_parse_errors_name_their_field(key, value, path):
     data = value if key is None else {**_base_dict(), key: value}
     with pytest.raises(ValidationError) as err:
         parse_instance_dict(data)
     assert err.value.path == path
+
+
+def test_mismatched_instance_raises_dimension_error(mirror_instance):
+    # parsing never builds one; a direct build meets the one dimension check
+    with pytest.raises(DimensionError):
+        Instance("mismatch", mirror_instance.agenda, QuotaRule.majority(3, (1, 1, 0)),
+                 mirror_instance.distributions)
 
 
 def test_non_strictly_positive_warns(tmp_path):

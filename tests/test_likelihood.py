@@ -607,11 +607,11 @@ def test_zero_weight_member_is_a_true_zero_past_the_guard():
 
 def test_monte_carlo_reproducible_and_calibrated():
     exact = exact_paradox_probability((2, 0), THETA1, MAJ, AND2, value_mode="rational")
-    est1, se1 = monte_carlo_estimate((2, 0), THETA1, 2, MAJ, AND2, trials=50_000, seed=123)
-    est2, se2 = monte_carlo_estimate((2, 0), THETA1, 2, MAJ, AND2, trials=50_000, seed=123)
+    est1, se1 = monte_carlo_estimate((2, 0), THETA1, MAJ, AND2, trials=50_000, seed=123)
+    est2, se2 = monte_carlo_estimate((2, 0), THETA1, MAJ, AND2, trials=50_000, seed=123)
     assert (est1, se1) == (est2, se2)
     assert abs(est1 - float(exact)) <= 3 * se1
-    other, _ = monte_carlo_estimate((2, 0), THETA1, 2, MAJ, AND2, trials=50_000, seed=124)
+    other, _ = monte_carlo_estimate((2, 0), THETA1, MAJ, AND2, trials=50_000, seed=124)
     assert other != est1
 
 
@@ -621,7 +621,7 @@ def test_monte_carlo_threshold_denominator_beyond_int64():
     single = _dists(["1/100", "1/100", "1/100", "97/100"])
     exact = float(exact_paradox_probability((10,), single, rule, AND2, value_mode="rational"))
     trials = 20_000
-    est, _ = monte_carlo_estimate((10,), single, 10, rule, AND2, trials=trials, seed=0)
+    est, _ = monte_carlo_estimate((10,), single, rule, AND2, trials=trials, seed=0)
     assert abs(est - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
@@ -630,20 +630,26 @@ def test_assignment_length_matches_the_set():
     # or a second member silently
     for counts in ((1, 1, 1), (3,)):
         with pytest.raises(DimensionError):
-            monte_carlo_estimate(counts, THETA1, 3, MAJ, AND2, trials=100)
+            monte_carlo_estimate(counts, THETA1, MAJ, AND2, trials=100)
         with pytest.raises(DimensionError):
             exact_paradox_probability(counts, THETA1, MAJ, AND2)
         with pytest.raises(DimensionError):
             histogram_distribution(counts, THETA1)
 
 
+def test_monte_carlo_assignments_share_one_total():
+    # n is the total of every assignment, so two totals have no n
+    with pytest.raises(ValueError):
+        monte_carlo_estimate([(2, 0), (2, 1)], THETA1, MAJ, AND2, trials=10)
+
+
 def test_monte_carlo_degenerate_point_mass():
     # a deterministic vote distribution is fine for sampling even though it
     # is outside the strictly-positive regime the condition checks need
     degenerate = DistributionSet((FractionalVote.point((1, 1)),))
-    est, se = monte_carlo_estimate((5,), degenerate, 5, MAJ, AND2, trials=1000, seed=1)
+    est, se = monte_carlo_estimate((5,), degenerate, MAJ, AND2, trials=1000, seed=1)
     assert est == 0.0 and se == math.sqrt(999 / 1000**2 / 1000)
-    est1, _ = monte_carlo_estimate((5,), degenerate, 5, MAJ, AND2, trials=1, seed=9)
+    est1, _ = monte_carlo_estimate((5,), degenerate, MAJ, AND2, trials=1, seed=9)
     assert est1 in (0.0, 1.0)
 
 
@@ -675,7 +681,7 @@ def test_mc_extremes_equal_the_single_assignment_estimate(dists, n, rule, agenda
         extremes = smoothed_extremes(dists, n, rule, agenda, mode="mc", trials=3000, seed=seed)
         for side in ("max", "min"):
             witness = getattr(extremes, f"{side}_witness")
-            alone = monte_carlo_estimate(witness, dists, n, rule, agenda, trials=3000, seed=seed)
+            alone = monte_carlo_estimate(witness, dists, rule, agenda, trials=3000, seed=seed)
             assert alone == (getattr(extremes, f"{side}_probability"),
                              getattr(extremes, f"{side}_stderr"))
 
@@ -690,7 +696,7 @@ def test_mc_never_draws_a_zero_weight():
         assert exact_paradox_probability((n, 0), positive, MAJ, AND2) > 0
         for counts in compositions(n, 2):
             assert exact_paradox_probability(counts, zero_between, MAJ, AND2) == 0
-            assert monte_carlo_estimate(counts, zero_between, n, MAJ, AND2,
+            assert monte_carlo_estimate(counts, zero_between, MAJ, AND2,
                                         trials=5000, seed=n)[0] == 0.0
         extremes = smoothed_extremes(zero_between, n, MAJ, AND2, mode="mc", trials=5000, seed=n)
         assert extremes.max_probability == 0.0
@@ -709,7 +715,7 @@ def test_mc_standard_error_when_no_trial_or_every_trial_is_a_paradox():
         assert extremes.max_stderr == extremes.min_stderr == one_hit > 0
     never = QuotaRule.of(["1/2", "1/2", 1], [1, 1, 0])
     point = DistributionSet((FractionalVote.point((1, 1)),))
-    assert monte_carlo_estimate((5,), point, 5, never, AND2, trials, seed=2) == (1.0, one_hit)
+    assert monte_carlo_estimate((5,), point, never, AND2, trials, seed=2) == (1.0, one_hit)
 
 
 def test_mc_every_assignment_within_four_standard_errors():
@@ -718,7 +724,7 @@ def test_mc_every_assignment_within_four_standard_errors():
     # exact probability implies, so a zero probability must estimate 0.0
     n, trials = 5, 20_000
     counts_list = list(compositions(n, TRIO.size))
-    estimates, stderrs = monte_carlo_estimate(counts_list, TRIO, n, MAJ, AND2, trials, 11)
+    estimates, stderrs = monte_carlo_estimate(counts_list, TRIO, MAJ, AND2, trials, 11)
     for counts, estimate, stderr in zip(counts_list, estimates, stderrs):
         exact = exact_paradox_probability(counts, TRIO, MAJ, AND2, value_mode="rational")
         assert stderr == math.sqrt(estimate * (1 - estimate) / trials)

@@ -6,6 +6,7 @@ import pytest
 
 from paradox_lab import (
     Agenda,
+    DimensionError,
     FractionalVote,
     Histogram,
     QuotaRule,
@@ -34,6 +35,14 @@ MIRROR = Agenda(1, (0, 1))
 RULE6 = QuotaRule.of(["1/4", "13/20"], (1, 1))
 
 
+def test_build_polyhedron_checks_its_outcome():
+    # the outcome check of is_consistent: an entry of 2 is no verdict
+    with pytest.raises(DimensionError):
+        build_polyhedron((1, 1), MAJ, AND2)
+    with pytest.raises(ValueError):
+        build_polyhedron((2, 0), QuotaRule.majority(2, (1, 0)), MIRROR)
+
+
 def test_characteristic_vectors_single_premise():
     c1 = characteristic_vector(1, RULE6, MIRROR)
     c2 = characteristic_vector(2, RULE6, MIRROR)
@@ -54,7 +63,7 @@ def test_rows_and_refinements_read_the_threshold_gaps():
         x = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(agenda.m)]
         if sum(x) == 0:
             x[0] = Fraction(1)
-        gaps = threshold_gaps(x, sum(x), rule, agenda)
+        gaps = threshold_gaps(x, rule, agenda)
         for i in range(1, p + 2):
             row = characteristic_vector(i, rule, agenda)
             assert gaps[i - 1] == sum(c * w for c, w in zip(row, x)), (agenda, rule, x, i)
