@@ -352,9 +352,12 @@ def monte_carlo_estimate(
 
     All assignments share the sampled agents. Per chunk j of trials, member k
     draws its most agents once from SeedSequence(seed, spawn_key=(k, j)), one
-    uniform per agent, agent-major, against its float CDF (a zero weight is
-    never drawn), so its first c agents do not depend on how many it draws:
-    an assignment's estimate is the same, bit for bit, alone or in any list.
+    uniform u per agent, agent-major. The agent's judgement is the number of
+    the member's rounded cumulative weights that are <= u, counted by one
+    comparison per weight; a zero weight repeats its predecessor's edge, so
+    it is never drawn. Member k's first c agents do not depend on how many
+    it draws: an assignment's estimate is the same, bit for bit, alone or in
+    any list.
     Per proposition it keeps the support after 0..c agents; an assignment's
     support sums each member's at c_k, an integer compared with the exact
     :func:`~paradox_lab.aggregation.acceptance_count`, and the verdicts index
@@ -383,8 +386,12 @@ def monte_carlo_estimate(
         for k, cdf in enumerate(cdfs):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, j)))
             drawn = rng.random((counts[:, k].max(), size))
+            # each agent's judgement counts the cumulative weights <= its uniform
+            judgement = np.zeros(drawn.shape, dtype=np.min_scalar_type(len(cdf)))
+            for edge in cdf:
+                judgement += drawn >= edge
             # propositions x agents x trials: each drawn agent's support bits
-            drawn = np.take(chi, np.searchsorted(cdf, drawn, side="right"), axis=1)
+            drawn = np.take(chi, judgement, axis=1)
             prefixes.append(np.zeros((drawn.shape[1] + 1, agenda.p + 1, size), dtype=dtype))
             for c in range(drawn.shape[1]):
                 np.add(prefixes[k][c], drawn[:, c], out=prefixes[k][c + 1])

@@ -218,6 +218,27 @@ def test_cli_mc_deterministic(capsys):
     assert first["max"]["stderr"] > 0
 
 
+@pytest.mark.parametrize("name, n, trials, seed, expected", [
+    ("conjunction_theta1.json", 5, 3000, 4, {
+        "max": {"value": 0.33, "stderr": 0.0085848704125339, "witness": [0, 5]},
+        "min": {"value": 0.13633333333333333, "stderr": 0.006264890410202868,
+                "witness": [5, 0]},
+    }),
+    ("three_premise_majority.json", 6, 50_000, 0, {
+        "max": {"value": 0.17096, "stderr": 0.0016836429455202194, "witness": [0, 6]},
+        "min": {"value": 0.05034, "stderr": 0.0009778127059923082, "witness": [6, 0]},
+    }),
+])
+def test_cli_mc_output_is_pinned(capsys, name, n, trials, seed, expected):
+    # the exact estimates of one draw stream: a sampler that draws other
+    # judgements from the same uniforms changes them, though it repeats itself
+    argv = ["mc", "--instance", _golden(name), "--n", str(n), "--trials", str(trials),
+            "--seed", str(seed)]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {side: payload[side] for side in ("max", "min")} == expected
+
+
 def test_cli_mc_threshold_denominator_beyond_int64(tmp_path, capsys):
     data = _base_dict()
     data["thresholds"][2] = f"{5 * 10**18 + 1}/{10**19}"

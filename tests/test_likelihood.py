@@ -702,6 +702,22 @@ def test_mc_never_draws_a_zero_weight():
         assert extremes.max_probability == 0.0
 
 
+def test_mc_never_draws_a_zero_weight_at_either_end():
+    # a zero first weight makes the first cumulative edge 0.0 and a zero last
+    # weight makes the last edge 1.0; the second member never draws (1, 1),
+    # so at odd n the assignment (0, n) has no paradox and estimates 0.0
+    zero_ends = _dists(["0", "1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2", "0"])
+    for n in (3, 5):
+        assert exact_paradox_probability((0, n), zero_ends, MAJ, AND2) == 0
+        counts_list = list(compositions(n, 2))
+        estimates, _ = monte_carlo_estimate(counts_list, zero_ends, MAJ, AND2, 5000, n)
+        for counts, estimate in zip(counts_list, estimates):
+            if exact_paradox_probability(counts, zero_ends, MAJ, AND2) == 0:
+                assert estimate == 0.0, counts
+            else:
+                assert estimate > 0.0, counts
+
+
 def test_mc_standard_error_when_no_trial_or_every_trial_is_a_paradox():
     # at odd n no mirror-set trial is a paradox, and with a never-reached
     # conclusion threshold every trial of (1, 1) point masses is one: the
