@@ -15,9 +15,11 @@ the signs of :func:`~paradox_lab.aggregation.threshold_gaps`, and convex-hull
 sign-pattern feasibility is decided by an exact Phase-I simplex on the
 members' gaps scaled to integers, pivoted fraction-free, whose every answer
 is checked: a witness must reproduce its pattern and an infeasible pattern
-must come with an integer Farkas certificate. A pattern one of whose strict
-rows no member can satisfy skips the simplex: that row's unit vector is the
-certificate, checked the same way. No solver and no floating point anywhere.
+must come with an integer Farkas certificate. κ2 and κ3 read one sign table
+per set: each pattern's bad-touch flag, in p+1 array operations, for the
+patterns that no strict row refutes alone (a row no member satisfies), the
+members' own patterns first, as each member is its own witness. The simplex
+runs only on the rest. No solver and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -280,6 +282,16 @@ def _phase_one(
     return [Fraction(value.get(j, 0), det) for j in range(cols)], None
 
 
+def _sign_allowed(s: int, gap: Sequence[int]) -> bool:
+    """False iff s is strict and no member has -s * gap > 0: then e_row refutes s."""
+    return not s or any(-s * g > 0 for g in gap)
+
+
+def _own_patterns(gaps: tuple[tuple[int, ...], ...]) -> list[SignPattern]:
+    """Each member's sign pattern, which that member realizes alone (y = e_k)."""
+    return [tuple((g < 0) - (g > 0) for g in column) for column in zip(*gaps)]
+
+
 def _check_pattern(beta: Sequence[int], agenda: Agenda) -> SignPattern:
     beta = tuple(int(s) for s in beta)
     if len(beta) != agenda.p + 1:
@@ -295,32 +307,37 @@ def sign_pattern_witness(
     """A convex combination of the members realizing the pattern, or None.
 
     Both answers are checked exactly: the witness must have pattern beta, and
-    None is returned only with a verified integer Farkas certificate. A strict
-    row whose coefficients are all <= 0 (no member lies on the side of its
-    threshold that beta asks for) is its own certificate, the unit vector of
-    that row, and the simplex runs only when no row refutes the pattern alone.
+    None is returned only with a verified integer Farkas certificate. A
+    member whose own pattern is beta is the witness, and a strict row that
+    :func:`_sign_allowed` rejects (no member lies on the side of its threshold
+    that beta asks for) refutes it with its unit vector as certificate. The
+    simplex runs only on the other patterns.
     """
     _check_inputs(dists, rule, agenda)
     beta = _check_pattern(beta, agenda)
-    A, b = _pattern_system(beta, _member_gaps(dists, rule, agenda))
-    # a strict row with no positive coefficient refutes the pattern alone: pi = e_i
-    row = next((i for i, (a, bi) in enumerate(zip(A, b)) if bi and max(a) <= 0), None)
-    if row is not None:
-        x, farkas = None, [int(i == row) for i in range(len(b))]
+    gaps = _member_gaps(dists, rule, agenda)
+    own = _own_patterns(gaps)
+    if beta in own:
+        witness = dists.members[own.index(beta)]
     else:
-        x, farkas = _phase_one(A, b)
-    if x is None:
-        if sum(map(mul, farkas, b)) <= 0 or any(
-            sum(map(mul, farkas, column)) > 0 for column in zip(*A)
-        ):
-            raise ArithmeticError(f"pattern {beta}: the Farkas certificate does not verify")
-        return None
-    y = x[: dists.size]
-    total = sum(y)
-    columns = zip(*(member.weights for member in dists.members))
-    witness = FractionalVote(tuple(sum(map(mul, y, column)) / total for column in columns))
+        A, b = _pattern_system(beta, gaps)
+        row = next((i for i, s in enumerate(beta) if not _sign_allowed(s, gaps[i])), None)
+        if row is not None:
+            x, farkas = None, [int(i == row) for i in range(len(b))]
+        else:
+            x, farkas = _phase_one(A, b)
+        if x is None:
+            if sum(map(mul, farkas, b)) <= 0 or any(
+                sum(map(mul, farkas, column)) > 0 for column in zip(*A)
+            ):
+                raise ArithmeticError(f"pattern {beta}: the Farkas certificate does not verify")
+            return None
+        y = x[: dists.size]
+        total = sum(y)
+        columns = zip(*(member.weights for member in dists.members))
+        witness = FractionalVote(tuple(sum(map(mul, y, column)) / total for column in columns))
     if sign_pattern_of(witness, rule, agenda) != beta:
-        raise ArithmeticError(f"pattern {beta}: the simplex witness does not verify")
+        raise ArithmeticError(f"pattern {beta}: the witness does not verify")
     return witness
 
 
@@ -339,21 +356,6 @@ def feasible_sign_pattern(
 def _reachable_paradoxes(n: int, rule: QuotaRule, agenda: Agenda, state_budget: int) -> np.ndarray:
     """Boolean table of the inconsistent outcomes that n votes reach."""
     return paradox_table(agenda) & reachable_counts(n, rule, agenda, state_budget=state_budget)
-
-
-def _some_pattern_feasible(
-    bad: np.ndarray,
-    touches_bad: bool,
-    dists: DistributionSet,
-    rule: QuotaRule,
-    agenda: Agenda,
-) -> bool:
-    """True iff the hull realizes a pattern allowing some (touches_bad) or no bad outcome."""
-    return any(
-        feasible_sign_pattern(beta, dists, rule, agenda)
-        for beta in product((1, 0, -1), repeat=agenda.p + 1)
-        if bad[tuple(_SIGN_BOX[s] for s in beta)].any() == touches_bad
-    )
 
 
 def check_kappa4(rule: QuotaRule, agenda: Agenda) -> bool:
@@ -389,7 +391,10 @@ def kappa_conditions(
     iff every (some) distribution in the convex hull of the members has only
     consistent effective refinements: refinements that some n-vote profile
     reaches. The hull is searched through sign patterns, as the effective
-    refinements depend on a distribution only through its pattern.
+    refinements depend on a distribution only through its pattern. One table
+    holds each pattern's bad-touch flag, without the patterns one row refutes
+    and with the members' own patterns first, which the members realize; the
+    simplex decides only the rest.
 
     When the first condition holds (no paradox profile exists at n at all) the
     exponential-regime conditions are unreachable branches of the case split
@@ -399,6 +404,22 @@ def kappa_conditions(
     k4 = check_kappa4(rule, agenda)
     if not bad.any():
         return (True, False, False, k4)
-    k2 = not _some_pattern_feasible(bad, True, dists, rule, agenda)
-    k3 = k2 or _some_pattern_feasible(bad, False, dists, rule, agenda)
+    gaps = _member_gaps(dists, rule, agenda)
+    # touch[1 - s_1, ..., 1 - s_{p+1}] = bad[box of s].any(): axes in _SIGN_BOX order
+    touch = bad
+    for axis in range(bad.ndim):
+        one, zero = touch.take(1, axis), touch.take(0, axis)
+        touch = np.stack((one, one | zero, zero), axis)
+    allowed = [[s for s in (1, 0, -1) if _sign_allowed(s, gap)] for gap in gaps]
+    own = set(_own_patterns(gaps))
+    # the members' own patterns first: each is its member's witness, no simplex
+    order = sorted(product(*allowed), key=lambda beta: beta not in own)
+    touches = {beta: bool(touch[tuple(1 - s for s in beta)]) for beta in order}
+    # κ2: no pattern allowing a bad outcome is realized; κ3: some other one is
+    k2 = not any(
+        feasible_sign_pattern(beta, dists, rule, agenda) for beta in order if touches[beta]
+    )
+    k3 = k2 or any(
+        feasible_sign_pattern(beta, dists, rule, agenda) for beta in order if not touches[beta]
+    )
     return (False, k2, k3, k4)

@@ -56,6 +56,22 @@ def characteristic_vector(i: int, rule: QuotaRule, agenda: Agenda) -> tuple[Frac
     return tuple(q - pattern[i - 1] for pattern in proposition_patterns(agenda))
 
 
+def _signed_rows(rule: QuotaRule, agenda: Agenda) -> list[tuple[tuple, tuple]]:
+    """Per proposition, one characteristic vector's (row, offset, exact offset) per verdict."""
+    signed = []
+    for i, (q, d) in enumerate(zip(rule.thresholds, rule.breakings), 1):
+        c = characteristic_vector(i, rule, agenda)
+        # verdict 0 asks -c . x <= -d, verdict 1 asks c . x <= d - 1
+        zero, one, exact = Fraction(-d), Fraction(d - 1), Fraction(-1, q.denominator)
+        signed.append(((tuple(-e for e in c), zero, zero and exact), (c, one, one and exact)))
+    return signed
+
+
+def _polyhedron(alpha: OutcomeVector, signed: list[tuple[tuple, tuple]]) -> Polyhedron:
+    rows, b, b_exact = zip(*(pair[verdict] for pair, verdict in zip(signed, alpha)))
+    return Polyhedron(rows, b, b_exact, alpha)
+
+
 def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> Polyhedron:
     """Halfspace system whose solutions aggregate to alpha.
 
@@ -64,25 +80,14 @@ def build_polyhedron(alpha: Sequence[int], rule: QuotaRule, agenda: Agenda) -> P
     Exact offsets replace each -1 by -1/denominator(q_i), which is tight for
     integer histograms.
     """
-    _check_rule(rule, agenda)
-    alpha = _check_outcome(alpha, agenda)
-    rows, b, b_exact = [], [], []
-    for i in range(1, agenda.p + 2):
-        sign = 1 if alpha[i - 1] == 1 else -1
-        c = characteristic_vector(i, rule, agenda)
-        rows.append(tuple(sign * e for e in c))
-        offset = Fraction(sign * rule.breakings[i - 1] - (1 if alpha[i - 1] == 1 else 0))
-        b.append(offset)
-        if offset == 0:
-            b_exact.append(offset)
-        else:
-            b_exact.append(Fraction(-1, rule.thresholds[i - 1].denominator))
-    return Polyhedron(tuple(rows), tuple(b), tuple(b_exact), alpha)
+    signed = _signed_rows(rule, agenda)
+    return _polyhedron(_check_outcome(alpha, agenda), signed)
 
 
 def paradox_region(rule: QuotaRule, agenda: Agenda) -> tuple[Polyhedron, ...]:
     """Polyhedra of every inconsistent outcome, in canonical alpha order."""
-    return tuple(build_polyhedron(a, rule, agenda) for a in inconsistent_outcomes(agenda))
+    signed = _signed_rows(rule, agenda)
+    return tuple(_polyhedron(a, signed) for a in inconsistent_outcomes(agenda))
 
 
 def _as_weights(x: Union[Histogram, FractionalVote, Sequence]) -> tuple[Fraction, ...]:

@@ -32,6 +32,7 @@ from paradox_lab.aggregation import (
     acceptance_count,
     final_count_grid,
     outcome_slices,
+    paradox_table,
     proposition_patterns,
 )
 from conftest import (
@@ -313,6 +314,105 @@ def test_kappa_on_ten_member_three_premise_sets():
         assert kappa_conditions(dists, inst.rule, inst.agenda, 20) == (
             False, False, True, False,
         )
+
+
+# (base instance, n, member counts) of the benchmark's classify pool families,
+# whose members draw integer weights 1..20 from random.Random(f"{family}:{index}")
+POOL_FAMILIES = {
+    "p2": ("conjunction_expsmall", 40, tuple(range(2, 11))),
+    "p3maj": ("three_premise_majority", 30, (2, 3, 4)),
+    "p3quo": ("three_premise_quota", 30, (2, 3, 4)),
+}
+
+
+def _pool_set(family: str, index: int):
+    base, n, counts = POOL_FAMILIES[family]
+    inst = parse_instance(INSTANCE_DIR / f"{base}.json")
+    rng = random.Random(f"{family}:{index}")
+    rows: list[FractionalVote] = []
+    while len(rows) < counts[index % len(counts)]:
+        ints = [rng.randint(1, 20) for _ in range(inst.agenda.m)]
+        row = FractionalVote(tuple(Fraction(x, sum(ints)) for x in ints))
+        if row not in rows:
+            rows.append(row)
+    return DistributionSet(tuple(rows)), inst.rule, inst.agenda, n
+
+
+def _kappa_by_enumeration(dists, rule, agenda, n):
+    """The κ flags from every one of the 3^(p+1) patterns, each boxed on its own."""
+    boxes = {1: slice(1, 2), 0: slice(0, 2), -1: slice(0, 1)}
+    bad = paradox_table(agenda) & reachable_counts(n, rule, agenda)
+    k4 = check_kappa4(rule, agenda)
+    if not bad.any():
+        return (True, False, False, k4)
+    realized = {
+        bad[tuple(boxes[s] for s in beta)].any()
+        for beta in product((1, 0, -1), repeat=agenda.p + 1)
+        if feasible_sign_pattern(beta, dists, rule, agenda)
+    }
+    return (False, True not in realized, False in realized, k4)
+
+
+def _oracle_cases():
+    rng = random.Random("kappa sign table")
+    for _ in range(30):
+        p = rng.randint(1, 3)
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        dists = random_positive_members(rng, agenda.m, rng.randint(1, 10))
+        yield dists, random_rule(rng, p + 1), agenda, rng.randint(1, 12)
+    # the uniform member ties both premise rows of the majority rule
+    yield THETA1, MAJ, AND2, 10
+    # no paradox profile at n = 1: κ1 holds
+    yield EXPSMALL, MAJ, AND2, 1
+    for family in POOL_FAMILIES:
+        for index in range(3):
+            yield _pool_set(family, index)
+
+
+def test_kappa_table_matches_pattern_enumeration(monkeypatch):
+    # the one-table κ2/κ3 decision against an enumeration of every pattern,
+    # on random sets of 1-10 members and the benchmark's pool families; the
+    # table runs the simplex on fewer patterns
+    phase_one = conditions._phase_one
+    simplex_runs = {"table": 0, "enumeration": 0}
+    counting = None
+
+    def counted(A, b):
+        simplex_runs[counting] += 1
+        return phase_one(A, b)
+
+    monkeypatch.setattr(conditions, "_phase_one", counted)
+    flags = set()
+    for dists, rule, agenda, n in _oracle_cases():
+        counting = "table"
+        got = kappa_conditions(dists, rule, agenda, n)
+        counting = "enumeration"
+        assert got == _kappa_by_enumeration(dists, rule, agenda, n)
+        flags.add(got[:3])
+    assert flags == {
+        (True, False, False), (False, False, False), (False, False, True), (False, True, True),
+    }
+    assert simplex_runs["table"] < simplex_runs["enumeration"]
+
+
+def test_sign_screen_is_sound():
+    # a strict sign the one-row screen drops leaves no pattern holding it
+    # feasible, by the witness search and by the simplex alone; each member's
+    # own pattern gets a witness with that pattern
+    dropped = 0
+    for dists, rule, agenda, _ in _oracle_cases():
+        gaps = conditions._member_gaps(dists, rule, agenda)
+        for beta in product((1, 0, -1), repeat=agenda.p + 1):
+            if all(conditions._sign_allowed(s, gap) for s, gap in zip(beta, gaps)):
+                continue
+            dropped += 1
+            assert sign_pattern_witness(beta, dists, rule, agenda) is None
+            assert conditions._phase_one(*conditions._pattern_system(beta, gaps))[0] is None
+        for member in dists.members:
+            own = sign_pattern_of(member, rule, agenda)
+            witness = sign_pattern_witness(own, dists, rule, agenda)
+            assert witness is not None and sign_pattern_of(witness, rule, agenda) == own
+    assert dropped
 
 
 def test_reachable_counts_match_histogram_enumeration():

@@ -15,6 +15,7 @@ from paradox_lab import (
     characteristic_vector,
     compositions,
     cone_dimension,
+    inconsistent_outcomes,
     in_cone,
     in_polyhedron,
     in_polyhedron_exact,
@@ -122,6 +123,35 @@ def test_cone_membership_examples():
 def test_paradox_region_size():
     assert len(paradox_region(MAJ, AND2)) == 4
     assert {poly.alpha for poly in paradox_region(RULE6, MIRROR)} == {(0, 1), (1, 0)}
+
+
+def test_paradox_region_rows_are_signed_characteristic_vectors():
+    # the region's polyhedra are build_polyhedron's, and each row is the
+    # signed characteristic vector with its unit-slack and exact offsets, on
+    # random rules with p <= 3, thresholds 0 and 1, and both tie bits
+    rng = random.Random("paradox region rows")
+    seen_thresholds, seen_breakings = set(), set()
+    for trial in range(40):
+        p = rng.randint(1, 3)
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        rule = random_rule(rng, p + 1)
+        if trial < 4:
+            ends = tuple(Fraction(rng.randint(0, 1)) for _ in range(p + 1))
+            rule = QuotaRule(ends, rule.breakings)
+        seen_thresholds.update(rule.thresholds)
+        seen_breakings.update(rule.breakings)
+        region = paradox_region(rule, agenda)
+        outcomes = inconsistent_outcomes(agenda)
+        assert region == tuple(build_polyhedron(a, rule, agenda) for a in outcomes)
+        for poly, alpha in zip(region, outcomes):
+            assert poly.alpha == alpha
+            for i, a in enumerate(alpha, 1):
+                sign, q = 2 * a - 1, rule.thresholds[i - 1]
+                row = tuple(sign * e for e in characteristic_vector(i, rule, agenda))
+                offset = sign * rule.breakings[i - 1] - a
+                exact = offset and Fraction(-1, q.denominator)
+                assert (poly.A[i - 1], poly.b[i - 1], poly.b_exact[i - 1]) == (row, offset, exact)
+    assert {0, 1} <= seen_thresholds and seen_breakings == {0, 1}
 
 
 def _statement_one_rules():
