@@ -12,15 +12,15 @@ count grid goes through.
 Every count grid of the package covers, after k of n votes, the two-sided
 windows of :func:`count_windows` and grows by the one-agent step
 :func:`_grid_step`, run from the unit grid by :func:`final_count_grid`; its
-adjoint :func:`_absorb_step` takes a grid of values one agent back. The last
-grid sits in the table of outcome vectors at :func:`outcome_slices`, and
-:func:`paradox_table`, the one interface between count grids and verdicts,
-marks the table's inconsistent outcomes for the κ checks, the exact
-probabilities and Monte Carlo alike. The reachable outcomes need no
-conclusion axis: :func:`_reach_step`, the max-plus form of
-:func:`_grid_step` over the premise windows, keeps per premise cell the most
-agents with conclusion 1 and the most with conclusion 0 (True weights on
-bool grids mark reachable counts only for the float error check).
+adjoint :func:`_absorb_step` takes a grid of values one agent back. Both sum
+shifted slices of a padded grid by :func:`_sum_shifted`; the forward steps
+fold window ends by :func:`_fold_ends`. The last grid sits in the table of
+outcome vectors at :func:`outcome_slices`, and :func:`paradox_table`, the one
+interface between count grids and verdicts, marks the table's inconsistent
+outcomes for the κ checks, the exact probabilities and Monte Carlo alike. The
+reachable outcomes need no conclusion axis: :func:`_reach_step`, the max-plus
+form of :func:`_grid_step` over the premise windows, keeps per premise cell
+the most agents with conclusion 1 and the most with conclusion 0.
 """
 
 from __future__ import annotations
@@ -134,30 +134,13 @@ def outcome_slices(rule: QuotaRule, n: int) -> tuple[slice, ...]:
     return tuple(slice(int(a == 0), int(a <= n) + 1) for a in acceptance_counts(rule, n))
 
 
-def _shift_fold(
-    grid: np.ndarray,
-    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]],
-    before: Window,
-    after: Window,
-    combine: np.ufunc,
-) -> np.ndarray:
-    """Shift each term by its pattern and fold the window ends, both by ``combine``.
+def _fold_ends(new: np.ndarray, before: Window, after: Window, combine: np.ufunc) -> np.ndarray:
+    """``new``, one index wider per window axis than ``before``, folded to ``after``.
 
-    ``terms`` yields (array of ``grid``'s shape, pattern) pairs. The last
-    len(before) axes are window axes; axes ahead of them are carried along.
-    Each term is combined by the ufunc ``combine`` into a zero grid one index
-    wider per window axis, at the offsets of its pattern. The spare index is
-    folded into the top index when the top stays, and index 0 into index 1
-    when the bottom rises: merged counts have identical futures, so both
-    merges commute with every later step.
+    Leading axes are carried. ``combine`` folds the spare index into the top
+    one if the top stays, and index 0 into index 1 if the bottom rises.
     """
-    carried = grid.ndim - len(before)
-    ahead = (slice(None),) * carried
-    box = grid.shape[carried:]
-    new = np.zeros(grid.shape[:carried] + tuple(side + 1 for side in box), dtype=grid.dtype)
-    for term, pat in terms:
-        dst = new[ahead + tuple(slice(c, c + side) for c, side in zip(pat, box))]
-        combine(dst, term, out=dst)
+    ahead = (slice(None),) * (new.ndim - len(before))
     for axis, ((lo, hi), (lo2, hi2)) in enumerate(zip(before, after)):
         lead = ahead + (slice(None),) * axis
         if hi2 == hi:
@@ -170,6 +153,27 @@ def _shift_fold(
                              for (lo, _), (lo2, hi2) in zip(before, after))]
 
 
+def _sum_shifted(padded: np.ndarray, weights: Sequence, starts: Iterable, box: tuple) -> np.ndarray:
+    """The sum of w * padded[start : start + box] over (w, start) pairs, in their order.
+
+    Zero weights are skipped and unit ones added without a multiply (1 * x is
+    exact in every dtype); products after the first term reuse one buffer.
+    """
+    total = buffer = None
+    for w, start in zip(weights, starts):
+        if w == 0:
+            continue
+        src = padded[tuple(slice(s, s + side) for s, side in zip(start, box))]
+        if total is None:
+            total = src.copy() if w == 1 else w * src
+        elif w == 1:
+            total += src
+        else:
+            buffer = np.multiply(w, src, out=buffer)
+            total += buffer
+    return total
+
+
 def _grid_step(
     grid: np.ndarray,
     weights: Sequence,
@@ -177,14 +181,18 @@ def _grid_step(
     before: Window,
     after: Window,
 ) -> np.ndarray:
-    """One-agent convolution from window ``before`` to ``after``: shift-add over patterns.
+    """One-agent convolution from window ``before`` to ``after``: gather, then fold.
 
-    On bool grids with True weights the sums are ORs, the reachable counts:
-    only the underflow masks of the float error check read those.
+    Entry u of a grid one index wider per axis sums w * grid[u - pattern], in
+    pattern order, from ``grid`` zero-padded by one index per side. On bool
+    grids with True weights the sums are ORs, the reachable counts: only the
+    underflow masks of the float error check read those.
     """
-    # 1 * x is exact in every dtype, and skipping it spares a temporary
-    terms = ((grid if w == 1 else w * grid, pat) for w, pat in zip(weights, patterns) if w != 0)
-    return _shift_fold(grid, terms, before, after, np.add)
+    padded = np.zeros(tuple(side + 2 for side in grid.shape), dtype=grid.dtype)
+    padded[(slice(1, -1),) * grid.ndim] = grid
+    starts = (tuple(1 - c for c in pat) for pat in patterns)
+    new = _sum_shifted(padded, weights, starts, tuple(side + 1 for side in grid.shape))
+    return _fold_ends(new, before, after, np.add)
 
 
 def _reach_step(
@@ -200,7 +208,8 @@ def _reach_step(
     (1, v) the most with conclusion 0, among the profiles whose premise counts
     fold to cell v. Judgement j, of premise bits ``patterns[j]`` and conclusion
     ``conclusions[j]``, shifts the grid by its bits with one agent added on
-    the row of its conclusion; shifts and folds take maxima where
+    the row of its conclusion, scattered, as a raised zero pad would mark
+    counts no profile reaches; shifts and folds take maxima where
     :func:`_grid_step` sums. Zeros are the identity: with every judgement
     allowed every premise cell of a window is reachable.
     """
@@ -208,8 +217,12 @@ def _reach_step(
     raised = [grid.copy(), grid.copy()]
     raised[0][1] += 1
     raised[1][0] += 1
-    terms = ((raised[c], pat) for c, pat in zip(conclusions, patterns))
-    return _shift_fold(grid, terms, before, after, np.maximum)
+    box = grid.shape[1:]
+    new = np.zeros(grid.shape[:1] + tuple(side + 1 for side in box), dtype=grid.dtype)
+    for c, pat in zip(conclusions, patterns):
+        dst = new[(slice(None),) + tuple(slice(s, s + side) for s, side in zip(pat, box))]
+        np.maximum(dst, raised[c], out=dst)
+    return _fold_ends(new, before, after, np.maximum)
 
 
 def final_count_grid(agents: Sequence[Sequence], patterns: Sequence[tuple[int, ...]],
@@ -239,8 +252,8 @@ def _absorb_step(
     """Adjoint of :func:`_grid_step`: absorb one agent into a grid of values.
 
     ``values`` lies on window ``after``, the result on ``before``: entry t
-    sums w * values[class of count lo + t + pattern], read from ``values``
-    edge-padded by lo' - lo below and hi + 1 - hi' above, axis by axis.
+    sums w * values[class of count lo + t + pattern], in pattern order, read
+    from ``values`` edge-padded by lo' - lo below and hi + 1 - hi' above.
     """
     box = tuple(hi - lo + 1 for lo, hi in before)
     padded = np.empty(tuple(b + 1 for b in box), dtype=values.dtype)
@@ -249,13 +262,7 @@ def _absorb_step(
     for axis, (b, side) in enumerate(zip(below, values.shape)):
         view = padded.swapaxes(0, axis)
         view[:b], view[b + side :] = view[b], view[b + side - 1]
-    new = np.zeros(box, dtype=values.dtype)
-    for w, pat in zip(weights, patterns):
-        if w == 0:
-            continue
-        src = padded[tuple(slice(c, c + b) for c, b in zip(pat, box))]
-        new += src if w == 1 else w * src
-    return new
+    return _sum_shifted(padded, weights, patterns, box)
 
 
 def apply_quota(h: Histogram, rule: QuotaRule, agenda: Agenda) -> OutcomeVector:

@@ -254,6 +254,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # parse_args writes only to the namespace it returns, so calls share nothing
     args = _parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError("--seed", f"expected a non-negative integer, got {args.seed}")
         if args.instance is not None:
             args.instance = parse_instance(args.instance)
         if args.output:

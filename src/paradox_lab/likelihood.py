@@ -201,10 +201,11 @@ def _error_bound(dists: DistributionSet, n: int, p: int) -> tuple[float, float]:
     A rounding returns x*(1 + d) + e, |d| <= u = 2^-53; e != 0 only for a
     weight or product below 2^-1022, and |e| <= 2^-1075. A term of P is a
     product over n one-agent steps, each rounding the weight, the multiply,
-    at most 2^p adds into the cell and 2(p+1) window-end folds (absorption
-    reads a merged index by an exact copy), and then the final multiply and
-    sum over at most (n+1)^(p+1) cells. All terms are nonnegative, so the d's
-    give gamma_N = N*u / (1 - N*u), N = n*(2^p + 2p + 4) + (n+1)^(p+1). A
+    at most 2^p - 1 adds into the cell (a pad's + 0.0 terms are exact) and
+    2(p+1) window-end folds (absorption reads a merged index by an exact
+    copy), then the final multiply and sum over at most (n+1)^(p+1) cells.
+    All terms are nonnegative, so the d's give gamma_N = N*u / (1 - N*u) for
+    N = n*(2^p + 2p + 4) + (n+1)^(p+1), which counts one add per step more. A
     forward step sends a cell on with weights summing to 1, so it does not
     grow an l1 error, and an absorption step averages with them, a sup-norm
     contraction; the final sum pairs l1 norm 1 with sup norm 1. So each e

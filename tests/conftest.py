@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from paradox_lab import (
@@ -156,6 +157,50 @@ def brute_force_paradox_probability(
 ) -> Fraction:
     """:func:`paradox_mass` of :func:`brute_force_histogram_law`."""
     return paradox_mass(brute_force_histogram_law(counts, dists), rule, agenda)
+
+
+def scatter_grid_step(grid: np.ndarray, weights: Sequence, patterns, before, after) -> np.ndarray:
+    """The one-agent forward step in scatter form: the reference for ``_grid_step``.
+
+    Each nonzero-weight term, w * grid (grid itself for w = 1), is added into a
+    zero grid one index wider per axis at the offsets of its pattern, in
+    pattern order. Then, axis by axis, the spare index is added into the top
+    index when the top stays and index 0 into index 1 when the bottom rises,
+    and the result is the box of window ``after``.
+    """
+    new = np.zeros(tuple(side + 1 for side in grid.shape), dtype=grid.dtype)
+    for w, pat in zip(weights, patterns):
+        if w != 0:
+            dst = new[tuple(slice(c, c + side) for c, side in zip(pat, grid.shape))]
+            np.add(dst, grid if w == 1 else w * grid, out=dst)
+    for axis, ((lo, hi), (lo2, hi2)) in enumerate(zip(before, after)):
+        lead = (slice(None),) * axis
+        if hi2 == hi:
+            top = new[lead + (hi - lo,)]
+            np.add(top, new[lead + (hi - lo + 1,)], out=top)
+        if lo2 > lo:
+            bottom = new[lead + (1,)]
+            np.add(bottom, new[lead + (0,)], out=bottom)
+    return new[tuple(slice(lo2 - lo, hi2 - lo + 1) for (lo, _), (lo2, hi2) in zip(before, after))]
+
+
+def zero_start_absorb_step(values: np.ndarray, weights: Sequence, patterns, before, after):
+    """The one-agent absorption step from a zero grid: the reference for ``_absorb_step``.
+
+    ``values`` on window ``after`` is edge-padded to window ``before`` widened
+    by one index per axis, and each nonzero-weight term, w times the box of
+    the padded grid at the offsets of its pattern, is added into a zero grid
+    in pattern order.
+    """
+    edges = [(lo2 - lo, hi + 1 - hi2) for (lo, hi), (lo2, hi2) in zip(before, after)]
+    padded = np.pad(values, edges, mode="edge")
+    box = tuple(hi - lo + 1 for lo, hi in before)
+    new = np.zeros(box, dtype=values.dtype)
+    for w, pat in zip(weights, patterns):
+        if w != 0:
+            src = padded[tuple(slice(c, c + side) for c, side in zip(pat, box))]
+            new += src if w == 1 else w * src
+    return new
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:

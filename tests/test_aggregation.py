@@ -24,13 +24,16 @@ from paradox_lab import (
 )
 from paradox_lab.aggregation import (
     _absorb_step,
+    _grid_step,
     acceptance_count,
     count_windows,
     outcome_slices,
     paradox_table,
+    proposition_patterns,
+    window_cells,
 )
 from paradox_lab.conditions import reachable_counts
-from conftest import random_rule
+from conftest import random_rule, scatter_grid_step, zero_start_absorb_step
 
 AND2 = Agenda.conjunction(2)
 MAJ = QuotaRule.majority(3, (1, 1, 0))
@@ -240,6 +243,63 @@ def test_absorb_step_reads_the_edge_padded_grid(dtype):
             got = _absorb_step(values, [1], [pat], before, after)
             box = padded[tuple(slice(c, c + hi - lo + 1) for c, (lo, hi) in zip(pat, before))]
             assert got.dtype == box.dtype and np.array_equal(got, box), (trial, pat)
+
+
+# per dtype: a nonzero draw for weights and grid values, and the weight's scalar type
+_KERNEL_DRAWS = {
+    np.float64: (lambda rng: rng.random() * 2.0 ** -rng.randrange(40), np.float64),
+    object: (lambda rng: rng.getrandbits(rng.choice((8, 80))) + 1, int),
+    bool: (lambda rng: True, np.bool_),
+}
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        # the bytes of an object array are pointers: compare the Python ints
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object, bool])
+def test_gather_steps_are_byte_equal_to_their_references(dtype):
+    # the gather steps give each cell the reference's terms in the same order,
+    # plus exact zeros from the padding, so the bits agree: a float sum taken
+    # in another order shows up here, where the float results are compared
+    # elsewhere only within their error bound
+    rng = random.Random(83)
+    draw, scalar = _KERNEL_DRAWS[dtype]
+    folds = {"top": 0, "bottom": 0}
+    for trial in range(60):
+        p, n = 1 + trial % 3, rng.randint(1, 30)
+        rule = random_rule(rng, p + 1)
+        if trial % 4 == 0:
+            # the first axis accepts every count (a = 0), the last none (a = n+1)
+            thresholds = (Fraction(0),) + rule.thresholds[1:-1] + (Fraction(1),)
+            rule = QuotaRule(thresholds, (1,) + rule.breakings[1:-1] + (0,))
+        windows = count_windows(rule, n)
+        k = rng.choice([k for k in range(n) if window_cells(windows[k + 1]) <= 30_000])
+        before, after = windows[k], windows[k + 1]
+        folds["top"] += any(hi2 == hi for (_, hi), (_, hi2) in zip(before, after))
+        folds["bottom"] += any(lo2 > lo for (lo, _), (lo2, _) in zip(before, after))
+        patterns = proposition_patterns(Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p))))
+        # zero and unit weights among the drawn ones, never all zero
+        weights = [scalar(rng.choice((0, 1, draw(rng), draw(rng)))) for _ in patterns]
+        weights[rng.randrange(len(weights))] = scalar(draw(rng))
+
+        def grid(window):
+            shape = tuple(hi - lo + 1 for lo, hi in window)
+            cells = [draw(rng) if rng.random() < 0.8 else 0 for _ in range(window_cells(window))]
+            return np.array(cells, dtype=dtype).reshape(shape)
+
+        forward = grid(before)
+        _assert_same_bits(_grid_step(forward, weights, patterns, before, after),
+                          scatter_grid_step(forward, weights, patterns, before, after))
+        values = grid(after)
+        _assert_same_bits(_absorb_step(values, weights, patterns, before, after),
+                          zero_start_absorb_step(values, weights, patterns, before, after))
+    assert folds["top"] and folds["bottom"]
 
 
 def test_independence_of_other_coordinates():

@@ -239,6 +239,29 @@ def test_cli_mc_output_is_pinned(capsys, name, n, trials, seed, expected):
     assert {side: payload[side] for side in ("max", "min")} == expected
 
 
+@pytest.mark.parametrize("name, n, mode, extremes", [
+    ("conjunction_expsmall.json", 60, "auto", {
+        "max": {"value": 0.018179126495383873, "stderr": 0.0, "witness": [60, 0]},
+        "min": {"value": 0.0009127523764288856, "stderr": 0.0, "witness": [0, 60]},
+    }),
+    ("conjunction_theta1.json", 59, "auto", {
+        "max": {"value": 0.9704612527450054, "stderr": 0.0, "witness": [0, 59]},
+        "min": {"value": 0.2499824650400968, "stderr": 0.0, "witness": [59, 0]},
+    }),
+    ("three_premise_majority.json", 20, "float", {
+        "max": {"value": 0.1685872848883509, "stderr": 0.0, "witness": [0, 20]},
+        "min": {"value": 0.0023577638090064527, "stderr": 0.0, "witness": [20, 0]},
+    }),
+])
+def test_cli_exact_float_stdout_is_pinned(capsys, name, n, mode, extremes):
+    # the float64 chains to the last bit: elsewhere float extremes are compared
+    # only within their error bound, so a reordered sum would pass there
+    assert main(["exact", "--instance", _golden(name), "--n", str(n), "--value-mode", mode]) == 0
+    label = parse_instance(_golden(name)).label
+    expected = {"label": label, "n": n, "mode": "exact", **extremes}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_mc_threshold_denominator_beyond_int64(tmp_path, capsys):
     data = _base_dict()
     data["thresholds"][2] = f"{5 * 10**18 + 1}/{10**19}"
@@ -402,6 +425,22 @@ def test_cli_sweep_rejects_step_zero(capsys):
                  "--n-from", "2", "--n-to", "4", "--step", "0"])
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mc", ["--n", "5"]),
+    ("sweep", ["--n-from", "2", "--n-to", "3", "--mode", "exact"]),
+])
+def test_cli_negative_seed_exits_2_naming_the_seed(command, extra, capsys, monkeypatch):
+    # rejected before any run, also by an exact sweep that never reads the seed
+    def no_run(*args, **kwargs):
+        raise AssertionError("extremes ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "smoothed_extremes", no_run)
+    argv = [command, "--instance", _golden("conjunction_theta1.json"), *extra, "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "validation error: --seed: expected a non-negative integer, got -1\n")
 
 
 def test_cli_io_errors_exit_2(tmp_path, capsys, monkeypatch):
