@@ -308,10 +308,8 @@ def sign_pattern_witness(
 
     Both answers are checked exactly: the witness must have pattern beta, and
     None is returned only with a verified integer Farkas certificate. A
-    member whose own pattern is beta is the witness, and a strict row that
-    :func:`_sign_allowed` rejects (no member lies on the side of its threshold
-    that beta asks for) refutes it with its unit vector as certificate. The
-    simplex runs only on the other patterns.
+    member whose own pattern is beta is the witness; the simplex decides the
+    other patterns.
     """
     _check_inputs(dists, rule, agenda)
     beta = _check_pattern(beta, agenda)
@@ -321,11 +319,7 @@ def sign_pattern_witness(
         witness = dists.members[own.index(beta)]
     else:
         A, b = _pattern_system(beta, gaps)
-        row = next((i for i, s in enumerate(beta) if not _sign_allowed(s, gaps[i])), None)
-        if row is not None:
-            x, farkas = None, [int(i == row) for i in range(len(b))]
-        else:
-            x, farkas = _phase_one(A, b)
+        x, farkas = _phase_one(A, b)
         if x is None:
             if sum(map(mul, farkas, b)) <= 0 or any(
                 sum(map(mul, farkas, column)) > 0 for column in zip(*A)

@@ -15,8 +15,8 @@ the same Wald standard error. The rational engine runs that kernel on
 Python-int numerators: member k's weights become integers over D_k, the
 least common denominator of its weights, and the common denominator
 prod_k D_k^(c_k) is applied once at the end. The float engine runs it in
-float64 on every platform, and :func:`_number_type` picks the engine once
-per run, by one rule. Every float result is checked against its error bound:
+float64 on every platform, and :func:`_exact` picks the engine once per
+run, by one rule. Every float result is checked against its error bound:
 a relative gamma_N plus an absolute A for roundings below float64's normal
 range (see :func:`_error_bound`).
 The adversarial sup/inf ranges over count multisets; in every value mode one
@@ -157,42 +157,22 @@ def _as_assignment(a: Union[Assignment, Sequence[int]], dists: DistributionSet) 
     return assignment
 
 
-def _member_weights(dists: DistributionSet, dtype: type) -> tuple[list[list], list[int]]:
-    """Each member's weights in ``dtype`` with D_k, the LCD of its weights.
+def _lcds(dists: DistributionSet) -> list[int]:
+    """D_k, the LCD of member k's weights, for each member k."""
+    return [math.lcm(*(w.denominator for w in member.weights)) for member in dists.members]
+
+
+def _member_weights(dists: DistributionSet, dtype: type) -> list[list]:
+    """Each member's weights in ``dtype``.
 
     For ``object`` the weights are the integer numerators w * D_k, so c_k
     agents of member k put D_k^(c_k) into the common denominator. A float
     weight is w rounded once, and a bool one its nonzero mask, w != 0.
     """
-    weights, lcds = [], []
-    for member in dists.members:
-        lcd = math.lcm(*(w.denominator for w in member.weights))
-        if dtype is object:
-            weights.append([w.numerator * (lcd // w.denominator) for w in member.weights])
-        else:
-            weights.append([dtype(w) for w in member.weights])
-        lcds.append(lcd)
-    return weights, lcds
-
-
-def _number_type(dists: DistributionSet, n: int, value_mode: str) -> tuple[type, list[int]]:
-    """(dtype, lcds) of an n-agent run, chosen once before its first step.
-
-    'rational' runs on the integer numerators of :func:`_member_weights`,
-    'float' in float64, and 'auto' is rational iff n < _AUTO_FLOAT_MIN_N and
-    max_k D_k^n, the worst denominator of any n-agent assignment, fits
-    DEFAULT_DENOMINATOR_BITS.
-    """
-    if value_mode not in ("auto", "rational", "float"):
-        raise ValueError(f"unknown value_mode {value_mode!r}")
-    lcds = _member_weights(dists, object)[1]
-    if value_mode == "rational" or (
-        value_mode == "auto"
-        and n < _AUTO_FLOAT_MIN_N
-        and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
-    ):
-        return object, lcds
-    return np.float64, lcds
+    if dtype is object:
+        return [[w.numerator * (lcd // w.denominator) for w in member.weights]
+                for member, lcd in zip(dists.members, _lcds(dists))]
+    return [[dtype(w) for w in member.weights] for member in dists.members]
 
 
 def _error_bound(dists: DistributionSet, n: int, p: int) -> tuple[float, float]:
@@ -250,20 +230,37 @@ def _check_error_bound(probs: np.ndarray, bound: tuple[float, float],
     return probs
 
 
-def _results(values: Sequence, counts_list: Sequence[tuple[int, ...]], dtype: type,
-             lcds: Sequence[int], bound: tuple[float, float],
-             reaches: Callable[[], Sequence]) -> list[Union[Fraction, float]]:
-    """Chain values as the probabilities of the assignments in ``counts_list``.
+def _exact(dists: DistributionSet, n: int, p: int, value_mode: str,
+           run: Callable[[type], tuple[list, list]]) -> list[tuple[tuple, Union[Fraction, float]]]:
+    """(counts, probability) of each assignment of an n-agent exact run.
 
-    An integer numerator becomes a Fraction over prod_k D_k^(c_k), and float
-    values the float64s that :func:`_check_error_bound` checked.
+    The number type is chosen once, before the run: 'rational' runs on the
+    integer numerators of :func:`_member_weights`, 'float' in float64, and
+    'auto' is rational iff n < _AUTO_FLOAT_MIN_N and max_k D_k^n, the worst
+    denominator of any n-agent assignment, fits DEFAULT_DENOMINATOR_BITS.
+    ``run(dtype)`` returns the count vectors and their chain values: an
+    integer numerator becomes a Fraction over prod_k D_k^(c_k), and float
+    values are checked by :func:`_check_error_bound`, ``run(bool)`` giving
+    the underflow masks.
     """
-    if dtype is object:
-        return [
+    if value_mode not in ("auto", "rational", "float"):
+        raise ValueError(f"unknown value_mode {value_mode!r}")
+    lcds = _lcds(dists)
+    if value_mode == "rational" or (
+        value_mode == "auto"
+        and n < _AUTO_FLOAT_MIN_N
+        and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
+    ):
+        counts_list, values = run(object)
+        probs = [
             Fraction(int(value), math.prod(lcd**c for lcd, c in zip(lcds, counts)))
             for value, counts in zip(values, counts_list)
         ]
-    return _check_error_bound(np.array(values, dtype=np.float64), bound, reaches).tolist()
+    else:
+        counts_list, values = run(np.float64)
+        probs = _check_error_bound(np.array(values, dtype=np.float64), _error_bound(dists, n, p),
+                                   lambda: run(bool)[1]).tolist()
+    return list(zip(counts_list, probs))
 
 
 def exact_paradox_probability(
@@ -279,23 +276,22 @@ def exact_paradox_probability(
 
     Both engines convolve by :func:`~paradox_lab.aggregation.final_count_grid`,
     and ``state_budget`` caps the cells of its largest grid. The number type
-    is :func:`_number_type`'s, as :func:`smoothed_extremes` runs at this n:
+    is :func:`_exact`'s, as :func:`smoothed_extremes` runs at this n:
     ``'rational'`` returns an exact fraction, ``'float'`` a float checked
     against :func:`_error_bound`, and ``'auto'`` either, by one rule.
     """
     assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
     n = assignment.n
-    dtype, lcds = _number_type(dists, n, value_mode)
     patterns, table = proposition_patterns(agenda), paradox_table(agenda)[outcome_slices(rule, n)]
 
-    def mass(dtype: type):
-        weights = _member_weights(dists, dtype)[0]
+    def run(dtype: type) -> tuple[list, list]:
+        weights = _member_weights(dists, dtype)
         agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
-        return (final_count_grid(agents, patterns, rule, dtype, state_budget) * table).sum()
+        grid = final_count_grid(agents, patterns, rule, dtype, state_budget)
+        return [assignment.counts], [(grid * table).sum()]
 
-    return _results([mass(dtype)], [assignment.counts], dtype, lcds,
-                    _error_bound(dists, n, agenda.p), lambda: [mass(bool)])[0]
+    return _exact(dists, n, agenda.p, value_mode, run)[0][1]
 
 
 def histogram_distribution(
@@ -310,8 +306,8 @@ def histogram_distribution(
     """
     assignment = _as_assignment(assignment, dists)
     n, m = assignment.n, dists.m
-    numerators, lcds = _member_weights(dists, object)
-    denominator = math.prod(lcd**count for lcd, count in zip(lcds, assignment.counts))
+    numerators = _member_weights(dists, object)
+    denominator = math.prod(lcd**count for lcd, count in zip(_lcds(dists), assignment.counts))
     key_type = np.int64 if (n + 1) ** m - 1 <= np.iinfo(np.int64).max else object
     place = np.array([(n + 1) ** e for e in range(m - 1, -1, -1)], dtype=key_type)
     keys, values = np.zeros(1, dtype=key_type), np.ones(1, dtype=object)
@@ -461,20 +457,19 @@ def _exact_assignment_probabilities(
     keeps just the newest W_r and is charged the largest window, as
     :func:`exact_paradox_probability` is. More members are charged the stored
     chain plus the l - 2 walk grids held above the current one, each at most the
-    largest window. The number type is :func:`_number_type`'s. Each ``tree``
-    call's chain dies with it, before the results are checked; on bool masks the
-    tree marks the leaves that reach a paradox.
+    largest window. The number type is :func:`_exact`'s. Each ``tree`` call
+    charges the budget and its chain dies with it, before the results are
+    checked; on bool masks the tree marks the leaves that reach a paradox.
     """
-    dtype, lcds = _number_type(dists, n, value_mode)
     patterns = proposition_patterns(agenda)
     windows = count_windows(rule, n)
     cells = [window_cells(window) for window in windows]
     entries = max(cells) if dists.size == 1 else sum(cells) + (dists.size - 2) * max(cells)
-    charge("assignment tree", entries, state_budget)
     table = paradox_table(agenda)[outcome_slices(rule, n)]
 
     def tree(dtype: type) -> tuple[list, list]:
-        weights = _member_weights(dists, dtype)[0]
+        charge("assignment tree", entries, state_budget)
+        weights = _member_weights(dists, dtype)
         absorb = [table.astype(dtype)]
         for before, after in reversed(list(zip(windows, windows[1:]))):
             absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
@@ -489,10 +484,7 @@ def _exact_assignment_probabilities(
             values.append((grid * absorb[-1 - agents]).sum())
         return counts_list, values
 
-    counts_list, values = tree(dtype)
-    probs = _results(values, counts_list, dtype, lcds, _error_bound(dists, n, agenda.p),
-                     lambda: tree(bool)[1])
-    return list(zip(counts_list, probs))
+    return _exact(dists, n, agenda.p, value_mode, tree)
 
 
 def smoothed_extremes(

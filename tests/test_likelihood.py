@@ -353,6 +353,19 @@ def test_auto_extremes_choose_one_number_type():
             assert single == pytest.approx(float(exact), rel=1e-15)
 
 
+def test_unknown_value_mode_raises_before_any_budget_charge():
+    # a budget of one cell fails any charge, so the ValueError must come first
+    calls = [
+        lambda: exact_paradox_probability((2, 3), THETA1, MAJ, AND2, value_mode="exactish",
+                                          state_budget=1),
+        lambda: _exact_assignment_probabilities(THETA1, 5, MAJ, AND2, "exactish", 1),
+        lambda: smoothed_extremes(THETA1, 5, MAJ, AND2, value_mode="exactish", state_budget=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'exactish'"):
+            call()
+
+
 def test_extremes_bounds_and_order():
     rng = random.Random(29)
     for _ in range(6):
