@@ -146,23 +146,33 @@ def _cmd_fit(args: argparse.Namespace) -> dict:
                 # a long row files its surplus values under the key None
                 if None in row:
                     raise ValueError(f"line {reader.line_num} has more values than the header")
-                # a short row reads None in its missing columns: float(None) is a TypeError
+                # and a short row reads None in its missing columns
+                if None in row.values():
+                    raise ValueError(f"line {reader.line_num} has fewer values than the header")
                 series.append((float(row["n"]), float(row[args.column])))
     except OSError as exc:
         raise ValidationError("fit.input", f"cannot read {args.input}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValidationError("fit.input", f"bad CSV contents: {exc}") from None
     result = fit_curve(series, args.family)
     return {"input": args.input, "column": args.column, "points": len(series), **result.as_dict()}
 
 
 def _cmd_polyhedra(args: argparse.Namespace) -> dict:
+    # the polyhedra share their signed rows: each row object is rendered once
+    rendered = {}
+
+    def render(row: tuple) -> list:
+        if id(row) not in rendered:
+            rendered[id(row)] = [format_rational(v) for v in row]
+        return rendered[id(row)]
+
     return {
         "label": args.instance.label,
         "polyhedra": [
             {
                 "alpha": list(poly.alpha),
-                "A": [[format_rational(v) for v in row] for row in poly.A],
+                "A": [render(row) for row in poly.A],
                 "b": [format_rational(v) for v in poly.b],
                 "b_exact": [format_rational(v) for v in poly.b_exact],
             }

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from operator import mul
 from typing import Optional, Sequence
 
@@ -71,7 +71,8 @@ class DistributionSet:
         m = members[0].m
         if any(member.m != m for member in members):
             raise DimensionError("all distributions must have the same length")
-        if len(set(members)) != len(members):
+        # a vote's integer form determines its weights, and is cheaper to hash
+        if len({(member.lcd, member.numerators) for member in members}) != len(members):
             raise ValueError("distribution set members must be pairwise distinct")
 
     @property
@@ -85,11 +86,16 @@ class DistributionSet:
     @property
     def epsilon(self) -> Fraction:
         """Smallest weight across all members; positive iff strictly positive."""
-        return min(w for member in self.members for w in member.weights)
+        # each member's smallest numerator, over the common denominator of all members
+        common = math.lcm(*(member.lcd for member in self.members))
+        return Fraction(
+            min(min(member.numerators) * (common // member.lcd) for member in self.members),
+            common,
+        )
 
     @property
     def is_strictly_positive(self) -> bool:
-        return self.epsilon > 0
+        return all(all(member.numerators) for member in self.members)
 
 
 def _check_inputs(dists: DistributionSet, rule: QuotaRule, agenda: Agenda) -> None:
@@ -120,7 +126,7 @@ def refinements(
 # Outcome feasibility over integer histograms
 # ---------------------------------------------------------------------------
 
-_reach_cache: dict[tuple, np.ndarray] = {}
+_reach_cache: dict[tuple, tuple[int, np.ndarray]] = {}
 _CACHE_LIMIT = 32
 
 
@@ -149,31 +155,36 @@ def reachable_counts(
     matter, and :func:`~paradox_lab.aggregation._reach_step` keeps both over
     the premise windows in integers of ``np.min_scalar_type(n)``.
     ``state_budget`` caps the entries of the largest grid, 2 per premise cell.
+    The table is cached with that charge: a hit is charged its stored
+    entries, as a new table would be, without building the windows again.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_rule(rule, agenda)
-    p = agenda.p
-    windows = [window[:p] for window in count_windows(rule, n)]
-    # charged before the lookup, so a cached table is charged as a new one is
-    charge("feasibility grid", 2 * max(map(window_cells, windows)), state_budget)
     # the acceptance counts fix every window; a cap min(a_i, n) would not
     accepts = acceptance_counts(rule, n)
     key = (agenda, n, tuple(accepts))
-    if key not in _reach_cache:
-        grid = np.zeros((2,) + (1,) * p, dtype=np.min_scalar_type(n))
-        premise_bits = judgements(p)
-        for before, after in zip(windows, windows[1:]):
-            grid = _reach_step(grid, agenda.truth_table, premise_bits, before, after)
-        a = accepts[p]
-        table = np.zeros((2,) * (p + 1), dtype=bool)
-        premises = outcome_slices(rule, n)[:p]
-        table[premises + (1,)] = grid[0] >= a
-        table[premises + (0,)] = grid[1] >= n + 1 - a
-        # every caller shares the cached table: a write would change later answers
-        table.flags.writeable = False
-        _remember(_reach_cache, key, table)
-    return _reach_cache[key]
+    if key in _reach_cache:
+        entries, table = _reach_cache[key]
+        charge("feasibility grid", entries, state_budget)
+        return table
+    p = agenda.p
+    windows = [window[:p] for window in count_windows(rule, n)]
+    entries = 2 * max(map(window_cells, windows))
+    charge("feasibility grid", entries, state_budget)
+    grid = np.zeros((2,) + (1,) * p, dtype=np.min_scalar_type(n))
+    premise_bits = judgements(p)
+    for before, after in zip(windows, windows[1:]):
+        grid = _reach_step(grid, agenda.truth_table, premise_bits, before, after)
+    a = accepts[p]
+    table = np.zeros((2,) * (p + 1), dtype=bool)
+    premises = outcome_slices(rule, n)[:p]
+    table[premises + (1,)] = grid[0] >= a
+    table[premises + (0,)] = grid[1] >= n + 1 - a
+    # every caller shares the cached table: a write would change later answers
+    table.flags.writeable = False
+    _remember(_reach_cache, key, (entries, table))
+    return table
 
 
 def check_kappa1(
@@ -200,16 +211,27 @@ def _member_gaps(
     """gaps[i][k] = L_i * threshold_gaps(member k)[i], as Python ints.
 
     L_i > 0 is the LCD of row i, so every sign of gaps[i] . y is that of the
-    unscaled row. Shared by a set's pattern LPs and cached by identity, as
+    unscaled row. Each gap is built from the member's integer form: with
+    q_i = a/b and S the member's numerators on the judgements supporting
+    proposition i, the gap is (a*D - b*S) / (b*D), reduced as a Fraction
+    would be. Shared by a set's pattern LPs and cached by identity, as
     hashing every weight per LP costs a tenth of the gaps; each entry holds
     its three objects, so no id is reused while it lives.
     """
     key = (id(dists), id(rule), id(agenda))
     if key not in _gaps_cache:
+        _check_inputs(dists, rule, agenda)
         gaps = []
-        for row in zip(*(threshold_gaps(pi.weights, rule, agenda) for pi in dists.members)):
-            lcd = math.lcm(*(g.denominator for g in row))
-            gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
+        for q, column in zip(rule.thresholds, zip(*proposition_patterns(agenda))):
+            a, b = q.numerator, q.denominator
+            row = []
+            for member in dists.members:
+                top = a * member.lcd - b * sum(compress(member.numerators, column))
+                bottom = b * member.lcd
+                common = math.gcd(top, bottom)
+                row.append((top // common, bottom // common))
+            lcd = math.lcm(*(den for _, den in row))
+            gaps.append(tuple(num * (lcd // den) for num, den in row))
         _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))
     return _gaps_cache[key][3]
 

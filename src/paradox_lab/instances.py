@@ -69,6 +69,11 @@ def _rational(value, path: str) -> Fraction:
         )
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValidationError(path, f"expected a rational string or integer, got {value!r}")
+    if isinstance(value, str):
+        # the spelling format_rational writes, read without Fraction's string parser
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return _built(path, Fraction, int(num), int(den) if slash else 1)
     return _built(path, Fraction, value)
 
 
@@ -127,7 +132,7 @@ def parse_instance_dict(data: dict) -> Instance:
 
     thresholds = _proposition_array(data.get("thresholds"), p, "thresholds", _rational)
     for i, q in enumerate(thresholds):
-        if q < 0 or q > 1:
+        if q.numerator < 0 or q.numerator > q.denominator:
             raise ValidationError(f"thresholds[{i}]", f"threshold {q} outside [0, 1]")
     breakings = _proposition_array(data.get("breakings"), p, "breakings", _bit)
     rule = QuotaRule(tuple(thresholds), tuple(breakings))
@@ -142,7 +147,7 @@ def parse_instance_dict(data: dict) -> Instance:
             raise ValidationError(path, f"expected a list of length 2^p = {agenda.m}")
         weights = tuple(_rational(v, f"{path}[{j}]") for j, v in enumerate(row))
         for j, w in enumerate(weights):
-            if w < 0 or w > 1:
+            if w.numerator < 0 or w.numerator > w.denominator:
                 raise ValidationError(f"{path}[{j}]", f"weight {w} outside [0, 1]")
         members.append(_built(path, FractionalVote, weights))
     dists = _built("distributions", DistributionSet, tuple(members))

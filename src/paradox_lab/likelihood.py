@@ -159,10 +159,10 @@ def _as_assignment(a: Union[Assignment, Sequence[int]], dists: DistributionSet) 
 
 def _lcds(dists: DistributionSet) -> list[int]:
     """D_k, the LCD of member k's weights, for each member k."""
-    return [math.lcm(*(w.denominator for w in member.weights)) for member in dists.members]
+    return [member.lcd for member in dists.members]
 
 
-def _member_weights(dists: DistributionSet, dtype: type) -> list[list]:
+def _member_weights(dists: DistributionSet, dtype: type) -> list[Sequence]:
     """Each member's weights in ``dtype``.
 
     For ``object`` the weights are the integer numerators w * D_k, so c_k
@@ -170,8 +170,7 @@ def _member_weights(dists: DistributionSet, dtype: type) -> list[list]:
     weight is w rounded once, and a bool one its nonzero mask, w != 0.
     """
     if dtype is object:
-        return [[w.numerator * (lcd // w.denominator) for w in member.weights]
-                for member, lcd in zip(dists.members, _lcds(dists))]
+        return [member.numerators for member in dists.members]
     return [[dtype(w) for w in member.weights] for member in dists.members]
 
 

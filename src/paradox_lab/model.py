@@ -1,7 +1,13 @@
 """Foundational types: judgements, votes, profiles, histograms, agendas, quota rules.
 
 All numeric fields are exact rationals (``fractions.Fraction``); no floating
-point value ever enters a comparison made by these types.
+point value ever enters a comparison made by these types. Each
+:class:`FractionalVote` also carries its integer form, computed once when it
+is built: ``lcd``, the least common denominator D of its weights, and
+``numerators``, each weight times D. Its own [0, 1] and sum-to-1 checks,
+the distinct-member check and ``epsilon`` of a distribution set, the κ
+checks' integer sign-pattern rows and the rational engine's weights read
+that form instead of redoing Fraction arithmetic per call.
 
 The canonical judgement order is the one :func:`judgements` lists, and truth
 tables, vote weights and histograms are indexed in it: the premise bits read as
@@ -11,7 +17,8 @@ p=2 the judgements are (0,0), (0,1), (1,0), (1,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence, Union
@@ -26,7 +33,12 @@ Judgement = tuple[int, ...]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Convert to an exact Fraction; floats are rejected to keep arithmetic exact."""
+    """Convert to an exact Fraction; floats are rejected to keep arithmetic exact.
+
+    A Fraction is returned as it is: Fractions are immutable.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing float %r: pass a string like '1/2' or '0.25', an int, or a Fraction"
@@ -102,10 +114,15 @@ class FractionalVote:
     """A probability distribution over the 2**p judgements.
 
     A plain (non-fractional) vote is the special case with a single unit
-    weight; see :meth:`point`.
+    weight; see :meth:`point`. ``lcd`` (D, the least common denominator of
+    the weights) and ``numerators`` (each weight times D) are its integer
+    form, derived once from the weights and left out of the constructor,
+    equality, hash and repr.
     """
 
     weights: tuple[Fraction, ...]
+    lcd: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(as_rational(w) for w in self.weights)
@@ -113,10 +130,14 @@ class FractionalVote:
         m = len(weights)
         if m == 0 or m & (m - 1):
             raise DimensionError(f"vote length must be a power of two, got {m}")
-        if any(w < 0 or w > 1 for w in weights):
+        lcd = math.lcm(*(w.denominator for w in weights))
+        numerators = tuple(w.numerator * (lcd // w.denominator) for w in weights)
+        if any(num < 0 or num > lcd for num in numerators):
             raise ValueError("vote weights must lie in [0, 1]")
-        if sum(weights) != 1:
+        if sum(numerators) != lcd:
             raise ValueError(f"vote weights must sum to 1, got {sum(weights)}")
+        object.__setattr__(self, "lcd", lcd)
+        object.__setattr__(self, "numerators", numerators)
 
     @property
     def m(self) -> int:
@@ -219,7 +240,7 @@ class QuotaRule:
         object.__setattr__(self, "breakings", _check_bits(self.breakings, "breakings"))
         if len(self.thresholds) != len(self.breakings):
             raise DimensionError("thresholds and breakings must have equal length")
-        if any(q < 0 or q > 1 for q in thresholds):
+        if any(q.numerator < 0 or q.numerator > q.denominator for q in thresholds):
             raise ValueError("thresholds must lie in [0, 1]")
 
     @property

@@ -57,13 +57,22 @@ def characteristic_vector(i: int, rule: QuotaRule, agenda: Agenda) -> tuple[Frac
 
 
 def _signed_rows(rule: QuotaRule, agenda: Agenda) -> list[tuple[tuple, tuple]]:
-    """Per proposition, one characteristic vector's (row, offset, exact offset) per verdict."""
+    """Per proposition, one characteristic vector's (row, offset, exact offset) per verdict.
+
+    The entries q and q - 1 and their negatives are computed once per
+    proposition and picked by each judgement's bit.
+    """
+    _check_rule(rule, agenda)
     signed = []
-    for i, (q, d) in enumerate(zip(rule.thresholds, rule.breakings), 1):
-        c = characteristic_vector(i, rule, agenda)
+    for q, d, column in zip(rule.thresholds, rule.breakings, zip(*proposition_patterns(agenda))):
+        entries = (q, q - 1)
+        negated = (-q, 1 - q)
         # verdict 0 asks -c . x <= -d, verdict 1 asks c . x <= d - 1
         zero, one, exact = Fraction(-d), Fraction(d - 1), Fraction(-1, q.denominator)
-        signed.append(((tuple(-e for e in c), zero, zero and exact), (c, one, one and exact)))
+        signed.append((
+            (tuple(negated[bit] for bit in column), zero, zero and exact),
+            (tuple(entries[bit] for bit in column), one, one and exact),
+        ))
     return signed
 
 

@@ -24,6 +24,7 @@ from paradox_lab import (
     is_paradox,
     parse_instance,
 )
+from paradox_lab.aggregation import threshold_gaps
 from paradox_lab.conditions import _phase_one
 
 INSTANCE_DIR = Path(__file__).parent / "instances"
@@ -201,6 +202,19 @@ def zero_start_absorb_step(values: np.ndarray, weights: Sequence, patterns, befo
             src = padded[tuple(slice(c, c + side) for c, side in zip(pat, box))]
             new += src if w == 1 else w * src
     return new
+
+
+def fraction_member_gaps(dists: DistributionSet, rule: QuotaRule, agenda: Agenda):
+    """The integer sign-pattern rows from Fraction gaps: the reference for ``_member_gaps``.
+
+    Row i is the members' threshold gaps on proposition i, each a Fraction,
+    scaled by the LCD of their denominators.
+    """
+    gaps = []
+    for row in zip(*(threshold_gaps(pi.weights, rule, agenda) for pi in dists.members)):
+        lcd = math.lcm(*(g.denominator for g in row))
+        gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
+    return tuple(gaps)
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:

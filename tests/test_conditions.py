@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -39,6 +40,7 @@ from conftest import (
     CAPPED_RULE,
     INSTANCE_DIR,
     brute_force_outcomes,
+    fraction_member_gaps,
     random_instance,
     random_positive_members,
     random_rule,
@@ -498,6 +500,22 @@ def test_reachable_counts_charges_budget_before_cache(monkeypatch):
     assert len(conditions._reach_cache) == 1
 
 
+def test_reachable_counts_hit_builds_nothing_and_is_charged(monkeypatch):
+    # a hit charges the entries stored with the table and builds no windows
+    monkeypatch.setattr(conditions, "_reach_cache", {})
+    agenda = Agenda.conjunction(3)
+    table = reachable_counts(8, CAPPED_RULE, agenda, state_budget=160)
+
+    def no_windows(*args):
+        raise AssertionError("a cached table built its windows again")
+
+    monkeypatch.setattr(conditions, "count_windows", no_windows)
+    assert reachable_counts(8, CAPPED_RULE, agenda, state_budget=160) is table
+    with pytest.raises(ResourceBudgetError) as err:
+        reachable_counts(8, CAPPED_RULE, agenda, state_budget=160 - 1)
+    assert (err.value.required, err.value.budget) == (160, 159)
+
+
 def test_reachable_counts_cache_tells_last_windows_apart(monkeypatch):
     # a = n and a = n+1 share the cap n but end in two cells and in one
     monkeypatch.setattr(conditions, "_reach_cache", {})
@@ -592,3 +610,57 @@ def test_distribution_set_validation():
 def test_empty_pattern_inputs_rejected():
     with pytest.raises(ValueError):
         feasible_sign_pattern((0, 0, 2), THETA1, MAJ, AND2)
+
+
+def _random_vote(rng: random.Random, m: int) -> FractionalVote:
+    """Weights ints / sum(ints), zeros included, each reduced on its own."""
+    top = rng.choice([1, 3, 9, 40])
+    ints = [0] * m
+    while not any(ints):
+        ints = [rng.randint(0, top) for _ in range(m)]
+    return FractionalVote(tuple(Fraction(x, sum(ints)) for x in ints))
+
+
+def test_member_gaps_equal_their_fraction_reference():
+    # the integer rows built from each vote's integer form are the rows that
+    # Fraction gaps scaled per row give, on thresholds 0 and 1, both tie bits
+    # and members with zero weights
+    rng = random.Random(30)
+    for _ in range(300):
+        p = rng.randint(1, 3)
+        m = 1 << p
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(m)))
+        thresholds = []
+        for _ in range(p + 1):
+            den = rng.randint(1, 12)
+            thresholds.append(rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(0, den), den)]))
+        rule = QuotaRule(tuple(thresholds), tuple(rng.randint(0, 1) for _ in range(p + 1)))
+        members: list[FractionalVote] = []
+        count = rng.randint(1, 10)
+        while len(members) < count:
+            vote = _random_vote(rng, m)
+            if vote not in members:
+                members.append(vote)
+        dists = DistributionSet(tuple(members))
+        assert conditions._member_gaps(dists, rule, agenda) == fraction_member_gaps(dists, rule, agenda)
+
+
+def test_integer_form_matches_its_fraction_definitions():
+    rng = random.Random(31)
+    for _ in range(300):
+        m = 1 << rng.randint(1, 3)
+        members: list[FractionalVote] = []
+        count = rng.randint(1, 6)
+        while len(members) < count:
+            vote = _random_vote(rng, m)
+            if vote not in members:
+                members.append(vote)
+        for vote in members:
+            assert vote.lcd == math.lcm(*(w.denominator for w in vote.weights))
+            assert vote.numerators == tuple(w * vote.lcd for w in vote.weights)
+            assert all(type(num) is int for num in vote.numerators)
+        dists = DistributionSet(tuple(members))
+        weights = [w for member in members for w in member.weights]
+        assert dists.epsilon == min(weights)
+        assert type(dists.epsilon) is Fraction
+        assert dists.is_strictly_positive == (min(weights) > 0)

@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradox_lab import (
     DimensionError, Instance, QuotaRule, ValidationError, classify, fit_curve, paradox_region,
@@ -120,6 +124,60 @@ def test_parse_errors_name_their_field(key, value, path):
     with pytest.raises(ValidationError) as err:
         parse_instance_dict(data)
     assert err.value.path == path
+
+
+def _fraction_outcome(text: str, path: str, range_message: str):
+    """What parsing ``text`` at ``path`` gives: (Fraction, None) or (None, (path, message)).
+
+    A bad string reports Fraction's message, a zero denominator "zero
+    denominator", and a value outside [0, 1] ``range_message`` with the value.
+    """
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        return None, (path, "zero denominator")
+    except ValueError as exc:
+        return None, (path, str(exc))
+    if not 0 <= value <= 1:
+        return None, (path, range_message.format(value))
+    return value, None
+
+
+# ASCII digits and the other characters of a rational or decimal spelling,
+# plus one non-ASCII digit; and the num/den spelling that format_rational writes
+RATIONAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789/.+-e_ \u0663", max_size=10),
+    st.from_regex(r"[0-9]{1,5}(/[0-9]{1,5})?", fullmatch=True),
+)
+
+
+@given(RATIONAL_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_rational_strings_parse_as_fraction_does(text):
+    data = _base_dict()
+    data["thresholds"][0] = text
+    value, error = _fraction_outcome(text, "thresholds[0]", "threshold {} outside [0, 1]")
+    if error is None:
+        q = parse_instance_dict(data).rule.thresholds[0]
+        assert type(q) is Fraction and q == value
+    else:
+        with pytest.raises(ValidationError) as err:
+            parse_instance_dict(data)
+        assert (err.value.path, err.value.message) == error
+
+    # a weight: the row [text, 0, 0, 0] sums to 1 only when text reads 1
+    data = _base_dict()
+    data["distributions"][0] = [text, "0", "0", "0"]
+    value, error = _fraction_outcome(text, "distributions[0][0]", "weight {} outside [0, 1]")
+    if error is None and value != 1:
+        error = ("distributions[0]", f"vote weights must sum to 1, got {value}")
+    if error is None:
+        w = parse_instance_dict(data).distributions.members[0].weights[0]
+        assert type(w) is Fraction and w == 1
+    else:
+        with pytest.raises(ValidationError) as err:
+            parse_instance_dict(data)
+        assert (err.value.path, err.value.message) == error
 
 
 def test_mismatched_instance_raises_dimension_error(mirror_instance):
@@ -367,7 +425,9 @@ def test_cli_fit_short_row_exits_2(tmp_path, capsys):
     csv_path = tmp_path / "short.csv"
     csv_path.write_text("n,max_est\n1,0.5\n2,0.4\n3\n4,0.2\n5,0.1\n")
     assert main(["fit", "--family", "log_linear", "--input", str(csv_path)]) == 2
-    assert capsys.readouterr().err.startswith("validation error: fit.input")
+    assert capsys.readouterr().err == (
+        "validation error: fit.input: bad CSV contents: line 4 has fewer values than the header\n"
+    )
 
 
 def test_cli_fit_long_row_exits_2(tmp_path, capsys):
@@ -561,3 +621,69 @@ def test_cli_stdout_is_the_library_result_in_a_fixed_format(
     expected = {"input": str(csv_path), "column": "min_est", "points": 7,
                 **fit_curve(series, "log_linear").as_dict()}
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def _ten_member_p2(tmp_path) -> str:
+    """A fixed ten-member set on the expsmall rule, from a named seed."""
+    data = json.loads((INSTANCE_DIR / "conjunction_expsmall.json").read_text())
+    rng = random.Random("ten-member p=2 set")
+    rows = []
+    while len(rows) < 10:
+        ints = [rng.randint(1, 20) for _ in range(4)]
+        row = [format_rational(Fraction(x, sum(ints))) for x in ints]
+        if row not in rows:
+            rows.append(row)
+    data["label"] = "ten members, two premises, conjunction"
+    data["distributions"] = rows
+    path = tmp_path / "ten_member_p2.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# sha256 of the stdout of check (n = 9 and 40) and polyhedra, recorded before
+# the integer vote forms: every κ flag, rate and halfspace row byte for byte
+KAPPA_STDOUT_SHA256 = {
+    "conjunction_expsmall.json": {
+        "check --n 9": "abd425c57f1f3ad6101e3934e218c30f9fbfc20f10e2222b7c98acf728bf0e50",
+        "check --n 40": "f57667133e1854a46ab8c973b6e96d9f09ca4c6dc45ee5ef283ac904dc6c94c5",
+        "polyhedra": "391433359385415a0e6dc78db771be59c717910d7a94313d9eb09568e23366cd",
+    },
+    "conjunction_theta1.json": {
+        "check --n 9": "7c73b29a9c995b7773ef487af95c4b83eeb33bc1e1b32dc2cd6b993675b09e5b",
+        "check --n 40": "6d041a231d2a618ce86810bc5aa4a113096aff769bfba7992195aea20d71e328",
+        "polyhedra": "59faf8cd55056207305ced51520f1cc268373437e4ec4e756bb60ddffc495b9f",
+    },
+    "single_premise_mirror.json": {
+        "check --n 9": "dc7334c9fbdaab130b62efb8c29c55ca29b51c56c7702893d87e97b5131bf68e",
+        "check --n 40": "3f5f11479a3041097f282578b3e149c0a83eb75f8fac29797141097656b12e02",
+        "polyhedra": "7528f21400a978fc010b18cc18a471f3371457d30fdf1c593c7e3b4b4d6519aa",
+    },
+    "three_premise_majority.json": {
+        "check --n 9": "4f62d741c7b3df4b3b3260379da5b38256655180c4f3d69891b347663831937b",
+        "check --n 40": "7fb562c412fe1643acee28ca84a62f536a0ad40abda79b200ee0a2106266cf48",
+        "polyhedra": "7a89187f92bc51f40a63ffbb1aa396efcdd10011db49de94e72ab0913fcd2f83",
+    },
+    "three_premise_quota.json": {
+        "check --n 9": "8658c253d0770eb0f555b1941da07f1f82d70e63cb5e19790d4f59e13534eb87",
+        "check --n 40": "9a9e6536addcdc09a1fc3826addf6f19654e666d7e561c7f78d8c169be66d6c1",
+        "polyhedra": "5d0e337a343a7d7a190a93e060f287c674cff6997cacf0060334103d48ba54c3",
+    },
+    "ten_member_p2": {
+        "check --n 9": "69feafe8f67e2860b7d8b62dbdfc8f5af5f65c86c0e4ad41413a23893d206909",
+        "check --n 40": "4a90c9431f211055d034bccfa7edb20bf854fcf4524b476700f00115c8cfce56",
+        "polyhedra": "9f9acdf173bbbeff48f7164bbd90991b70af60870e724367678b761a66d596cc",
+    },
+}
+
+
+@pytest.mark.parametrize("name", [
+    "conjunction_expsmall.json", "conjunction_theta1.json", "single_premise_mirror.json",
+    "three_premise_majority.json", "three_premise_quota.json", "ten_member_p2",
+])
+def test_cli_kappa_commands_stdout_is_pinned(tmp_path, capsys, name):
+    path = _ten_member_p2(tmp_path) if name == "ten_member_p2" else _golden(name)
+    digests = {}
+    for argv in (["check", "--n", "9"], ["check", "--n", "40"], ["polyhedra"]):
+        assert main(argv + ["--instance", path]) == 0
+        digests[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == KAPPA_STDOUT_SHA256[name]
