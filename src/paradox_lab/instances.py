@@ -12,17 +12,18 @@ An instance bundles an agenda, a quota rule, and a distribution set:
                         ["1/25", "8/25", "8/25", "8/25"]]
     }
 
-Rationals are strings ("1/2" or the exact decimal shorthand "0.5") or
-integers; floats are rejected so values stay exact end to end. thresholds and
-breakings are arrays of length p+1 whose final entry belongs to the
-conclusion; the object form {"premises": [...], "conclusion": ...} is accepted
-as an equivalent spelling.
+Rationals are integers or strings that :func:`~paradox_lab.model.as_rational`
+reads ("1/2", "1" or the exact decimal "0.5"); floats are rejected so values
+stay exact end to end. thresholds and breakings are arrays of length p+1 whose
+final entry belongs to the conclusion; the object form {"premises": [...],
+"conclusion": ...} is accepted as an equivalent spelling.
 
 Parsing checks only what the model types cannot: JSON types and lengths,
 entry bits, and each entry's [0, 1] range, so that the error names the entry.
 The model types check the truth table's length, each row's sum of 1, distinct
-members and matching dimensions; their ValueError, like a bad rational
-string, is reported at the field or row path.
+members and matching dimensions; their ValueError, like as_rational's
+TypeError or ValueError for a bad rational, is reported at the field or row
+path.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ValidationError
-from .model import Agenda, FractionalVote, QuotaRule, format_rational
+from .model import Agenda, FractionalVote, QuotaRule, as_rational, format_rational
 from .conditions import DistributionSet, _check_inputs
 
 
@@ -53,34 +54,26 @@ class Instance:
 
 
 def _built(path: str, make, *args):
-    """``make(*args)``, its ValueError or zero denominator reported at ``path``."""
+    """``make(*args)``, its TypeError, ValueError or zero denominator reported at ``path``."""
     try:
         return make(*args)
     except ZeroDivisionError:
         raise ValidationError(path, "zero denominator") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(path, str(exc)) from None
 
 
 def _rational(value, path: str) -> Fraction:
-    if isinstance(value, float):
-        raise ValidationError(
-            path, f"floats are not accepted; write the value as a string, e.g. \"{value}\""
-        )
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValidationError(path, f"expected a rational string or integer, got {value!r}")
-    if isinstance(value, str):
-        # the spelling format_rational writes, read without Fraction's string parser
-        num, slash, den = value.partition("/")
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return _built(path, Fraction, int(num), int(den) if slash else 1)
-    return _built(path, Fraction, value)
+    q = _built(path, as_rational, value)
+    if q.numerator < 0 or q.numerator > q.denominator:
+        raise ValidationError(path, f"{q} outside [0, 1]")
+    return q
 
 
 def _bit(value, path: str) -> int:
-    if isinstance(value, bool) or value not in (0, 1):
+    if type(value) is not int or value not in (0, 1):
         raise ValidationError(path, f"expected 0 or 1, got {value!r}")
-    return int(value)
+    return value
 
 
 def _proposition_array(value, p: int, path: str, parse_entry) -> list:
@@ -131,9 +124,6 @@ def parse_instance_dict(data: dict) -> Instance:
     agenda = _built("truth_table", Agenda, p, truth_table)
 
     thresholds = _proposition_array(data.get("thresholds"), p, "thresholds", _rational)
-    for i, q in enumerate(thresholds):
-        if q.numerator < 0 or q.numerator > q.denominator:
-            raise ValidationError(f"thresholds[{i}]", f"threshold {q} outside [0, 1]")
     breakings = _proposition_array(data.get("breakings"), p, "breakings", _bit)
     rule = QuotaRule(tuple(thresholds), tuple(breakings))
 
@@ -146,9 +136,6 @@ def parse_instance_dict(data: dict) -> Instance:
         if not isinstance(row, list) or len(row) != agenda.m:
             raise ValidationError(path, f"expected a list of length 2^p = {agenda.m}")
         weights = tuple(_rational(v, f"{path}[{j}]") for j, v in enumerate(row))
-        for j, w in enumerate(weights):
-            if w.numerator < 0 or w.numerator > w.denominator:
-                raise ValidationError(f"{path}[{j}]", f"weight {w} outside [0, 1]")
         members.append(_built(path, FractionalVote, weights))
     dists = _built("distributions", DistributionSet, tuple(members))
 
@@ -168,7 +155,8 @@ def parse_instance(path: Union[str, Path]) -> Instance:
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ValidationError("$", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # also an integer literal past the digit limit, or bytes that are not UTF-8
         raise ValidationError("$", f"invalid JSON: {exc}") from None
     instance = parse_instance_dict(data)
     if not instance.distributions.is_strictly_positive:

@@ -18,6 +18,8 @@ p=2 the judgements are (0,0), (0,1), (1,0), (1,1).
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -27,24 +29,33 @@ from .errors import DimensionError
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:([/.])([0-9]+))?")  # whole, separator, part
 
 #: A judgement is a tuple of p premise bits.
 Judgement = tuple[int, ...]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Convert to an exact Fraction; floats are rejected to keep arithmetic exact.
+    """Convert a Fraction, an integer (not a bool) or a rational string exactly.
 
-    A Fraction is returned as it is: Fractions are immutable.
+    A Fraction is returned as it is. A string is an optional "-", ASCII
+    digits, then optionally "/digits" or ".digits", each part read with
+    ``int()``: its digit limit keeps every such value printable by
+    :func:`format_rational`. Anything else raises TypeError or ValueError.
     """
-    if type(value) is Fraction:
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"expected an integer, 'num/den' or a decimal, got {value!r}")
+        whole, sep, part = match.groups()
+        if sep == ".":  # one int() over all digits keeps 10**len(part) within the limit
+            return Fraction(int(whole + part), 10 ** len(part))
+        return Fraction(int(whole), int(part) if sep else 1)
+    if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(
-            "refusing float %r: pass a string like '1/2' or '0.25', an int, or a Fraction"
-            % (value,)
-        )
-    return Fraction(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"expected an integer or a rational string like '1/2', got {value!r}")
+    return Fraction(operator.index(value))
 
 
 def format_rational(value: Fraction) -> str:
@@ -55,7 +66,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
+    out = tuple(operator.index(b) if hasattr(b, "__index__") else None for b in bits)
     if any(b not in (0, 1) for b in out):
         raise ValueError(f"{what} must contain only 0/1 values, got {bits!r}")
     return out

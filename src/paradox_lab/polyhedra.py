@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DimensionError
-from .model import Agenda, FractionalVote, Histogram, QuotaRule
+from .model import Agenda, FractionalVote, Histogram, QuotaRule, as_rational
 from .aggregation import (
     OutcomeVector,
     _check_outcome,
@@ -102,7 +102,7 @@ def paradox_region(rule: QuotaRule, agenda: Agenda) -> tuple[Polyhedron, ...]:
 def _as_weights(x: Union[Histogram, FractionalVote, Sequence]) -> tuple[Fraction, ...]:
     if isinstance(x, (Histogram, FractionalVote)):
         return x.weights
-    return tuple(Fraction(v) for v in x)
+    return tuple(as_rational(v) for v in x)
 
 
 def _products(x, poly: Polyhedron) -> list[Fraction]:

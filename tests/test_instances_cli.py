@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,9 @@ def test_parse_rejects_unknown_keys():
     ("distributions", [["1/4", "1/4", "1/4", "0"]], "distributions[0]"),
     ("distributions", [["1/4"] * 4, ["2/8"] * 4], "distributions"),
     ("truth_table", [0, 1], "truth_table"),
+    # a bit is a JSON integer: 1.0 is refused
+    ("truth_table", [0, 0, 0, 1.0], "truth_table[3]"),
+    ("breakings", [1.0, 1, 0], "breakings[0]"),
 ])
 def test_parse_errors_name_their_field(key, value, path):
     data = value if key is None else {**_base_dict(), key: value}
@@ -126,28 +130,39 @@ def test_parse_errors_name_their_field(key, value, path):
     assert err.value.path == path
 
 
-def _fraction_outcome(text: str, path: str, range_message: str):
+def _rational_outcome(text: str, path: str):
     """What parsing ``text`` at ``path`` gives: (Fraction, None) or (None, (path, message)).
 
-    A bad string reports Fraction's message, a zero denominator "zero
-    denominator", and a value outside [0, 1] ``range_message`` with the value.
+    A full match of the documented spelling, an optional "-", digits, then
+    optionally "/digits" or ".digits", reads as Fraction does: a zero
+    denominator reports "zero denominator" and a value outside [0, 1] says so
+    with the value. Any other text is refused at ``path`` with a message this
+    reference leaves unchecked (None).
     """
+    if re.fullmatch(r"-?[0-9]+([/.][0-9]+)?", text) is None:
+        return None, (path, None)
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         return None, (path, "zero denominator")
-    except ValueError as exc:
-        return None, (path, str(exc))
     if not 0 <= value <= 1:
-        return None, (path, range_message.format(value))
+        return None, (path, f"{value} outside [0, 1]")
     return value, None
 
 
-# ASCII digits and the other characters of a rational or decimal spelling,
-# plus one non-ASCII digit; and the num/den spelling that format_rational writes
+def _assert_refused(data: dict, error: tuple) -> None:
+    with pytest.raises(ValidationError) as err:
+        parse_instance_dict(data)
+    path, message = error
+    assert err.value.path == path
+    assert message is None or err.value.message == message
+
+
+# ASCII digits and the other characters of a rational, decimal or exponent
+# spelling, plus one non-ASCII digit; and the documented spelling itself
 RATIONAL_TEXT = st.one_of(
     st.text(alphabet="0123456789/.+-e_ \u0663", max_size=10),
-    st.from_regex(r"[0-9]{1,5}(/[0-9]{1,5})?", fullmatch=True),
+    st.from_regex(r"-?[0-9]{1,5}([/.][0-9]{1,5})?", fullmatch=True),
 )
 
 
@@ -156,28 +171,48 @@ RATIONAL_TEXT = st.one_of(
 def test_rational_strings_parse_as_fraction_does(text):
     data = _base_dict()
     data["thresholds"][0] = text
-    value, error = _fraction_outcome(text, "thresholds[0]", "threshold {} outside [0, 1]")
+    value, error = _rational_outcome(text, "thresholds[0]")
     if error is None:
         q = parse_instance_dict(data).rule.thresholds[0]
         assert type(q) is Fraction and q == value
     else:
-        with pytest.raises(ValidationError) as err:
-            parse_instance_dict(data)
-        assert (err.value.path, err.value.message) == error
+        _assert_refused(data, error)
 
     # a weight: the row [text, 0, 0, 0] sums to 1 only when text reads 1
     data = _base_dict()
     data["distributions"][0] = [text, "0", "0", "0"]
-    value, error = _fraction_outcome(text, "distributions[0][0]", "weight {} outside [0, 1]")
+    value, error = _rational_outcome(text, "distributions[0][0]")
     if error is None and value != 1:
         error = ("distributions[0]", f"vote weights must sum to 1, got {value}")
     if error is None:
         w = parse_instance_dict(data).distributions.members[0].weights[0]
         assert type(w) is Fraction and w == 1
     else:
-        with pytest.raises(ValidationError) as err:
-            parse_instance_dict(data)
-        assert (err.value.path, err.value.message) == error
+        _assert_refused(data, error)
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300",  # an exponent: 10**4300 has 4,301 digits
+    "1e-4300",  # in [0, 1], but an exponent all the same
+    pytest.param("1/" + "9" * 4301, id="4301-digit-denominator"),
+    # 1/10**4300 lies in [0, 1], but its denominator has 4,301 digits
+    pytest.param("0." + "0" * 4299 + "1", id="4300-digit-decimal"),
+])
+def test_rationals_that_would_not_print_are_refused_at_their_path(text):
+    data = _base_dict()
+    data["thresholds"][0] = text
+    _assert_refused(data, ("thresholds[0]", None))
+    data = _base_dict()
+    data["distributions"][0] = [text, "0", "0", "0"]
+    _assert_refused(data, ("distributions[0][0]", None))
+
+
+def test_parse_reports_an_integer_literal_past_the_digit_limit(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_base_dict()).replace('"p": 2', '"p": ' + "1" * 4301))
+    with pytest.raises(ValidationError) as err:
+        parse_instance(path)
+    assert err.value.path == "$"
 
 
 def test_mismatched_instance_raises_dimension_error(mirror_instance):
@@ -252,6 +287,20 @@ def test_cli_polyhedra_region_dump(tmp_path, capsys):
     entry = by_alpha[(1, 0)]
     assert entry["A"] == [["1/4", "-3/4"], ["-13/20", "7/20"]]
     assert entry["b"] == ["0", "-1"]
+
+
+def test_cli_on_long_and_exponent_thresholds(tmp_path, capsys):
+    # a 4,000-digit denominator is valid and prints; an exponent is refused at its path
+    data = _base_dict()
+    data["thresholds"][0] = "1/1" + "0" * 3999
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    assert main(["polyhedra", "--instance", str(path)]) == 0
+    assert "/1" + "0" * 3999 in capsys.readouterr().out
+    data["thresholds"][0] = "1e4300"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--instance", str(path), "--n", "2"]) == 2
+    assert "thresholds[0]" in capsys.readouterr().err
 
 
 def test_cli_exact_reports_witnesses(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import paradox_lab
@@ -102,6 +103,30 @@ def test_as_rational_rejects_floats():
         as_rational(0.1)
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("12", Fraction(12)),
+    ("-3/4", Fraction(-3, 4)),
+    ("-2.50", Fraction(-5, 2)),
+    pytest.param("0." + "0" * 4298 + "1", Fraction(1, 10**4299), id="4299-digit-decimal"),
+    (np.int64(3), Fraction(3)),
+    (Fraction(1, 3), Fraction(1, 3)),
+])
+def test_as_rational_reads_the_documented_spellings(value, expected):
+    q = as_rational(value)
+    assert q == expected and format_rational(q)
+
+
+@pytest.mark.parametrize("value", [
+    True, None, np.float64(0.5), "1e3", "1e-4300", "1_000", " 1/2", "1/2\n", "+1", ".5", "5.",
+    "\u0663", "1/-2", "1.5/2", "", "-",
+    pytest.param("1/" + "9" * 4301, id="4301-digit-denominator"),
+    pytest.param("0." + "0" * 4299 + "1", id="4300-digit-decimal"),
+])
+def test_as_rational_refuses_every_other_value(value):
+    with pytest.raises((TypeError, ValueError)):
+        as_rational(value)
+
+
 def test_vote_validation():
     with pytest.raises(ValueError):
         FractionalVote.of(["1/2", "1/4"])
@@ -124,6 +149,8 @@ def test_quota_rule_validation():
         QuotaRule.of(["3/2"], (0,))
     with pytest.raises(DimensionError):
         QuotaRule.of(["1/2", "1/2"], (0,))
+    with pytest.raises(ValueError):
+        QuotaRule.of(["1/2"] * 2, (1.0, "1"))
 
 
 def test_agenda_validation():
@@ -131,3 +158,5 @@ def test_agenda_validation():
         Agenda(2, (0, 1))
     with pytest.raises(ValueError):
         Agenda(2, (0, 1, 2, 1))
+    with pytest.raises(ValueError):
+        Agenda(1, (0.9, 1))

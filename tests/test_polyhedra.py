@@ -113,6 +113,13 @@ def test_table_histogram_membership():
     assert in_polyhedron_exact(h, poly)
 
 
+def test_membership_refuses_floats():
+    poly = build_polyhedron((1, 1, 0), MAJ, AND2)
+    for member in (in_polyhedron, in_polyhedron_exact, in_cone):
+        with pytest.raises(TypeError):
+            member((0.1, 0.2, 0.3, 0.4), poly)
+
+
 def test_cone_membership_examples():
     poly = build_polyhedron((1, 1, 0), MAJ, AND2)
     assert in_cone(FractionalVote.of(["3/10", "1/5", "0", "1/2"]), poly)
