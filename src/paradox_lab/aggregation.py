@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -38,6 +39,7 @@ from .model import (
     Profile,
     QuotaRule,
     histogram,
+    integer_form,
     judgements,
 )
 
@@ -74,18 +76,21 @@ def threshold_gaps(
 
     support_i is the weight on the judgements whose proposition i is 1, and
     the total is the sum of the weights, which must be positive: a
-    histogram's n, 1 for a distribution.
+    histogram's n, 1 for a distribution. With q_i = a_i / b_i it is
+    (a_i * sum(N) - b_i * S_i) / (b_i * D) on the weights' integer form (D, N),
+    S_i summing the numerators that support proposition i.
     """
     _check_rule(rule, agenda)
     if len(weights) != agenda.m:
         raise DimensionError(f"weight length {len(weights)} != agenda m {agenda.m}")
-    total = sum(weights)
+    lcd, numerators = integer_form(weights)
+    total = sum(numerators)
     if total <= 0:
         raise ValueError("histogram must have positive total weight")
-    columns = zip(*proposition_patterns(agenda))
     return tuple(
-        q * total - sum(w for w, bit in zip(weights, column) if bit)
-        for q, column in zip(rule.thresholds, columns)
+        Fraction(q.numerator * total - q.denominator * sum(compress(numerators, column)),
+                 q.denominator * lcd)
+        for q, column in zip(rule.thresholds, zip(*proposition_patterns(agenda)))
     )
 
 

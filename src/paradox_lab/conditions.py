@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from operator import mul
 from typing import Optional, Sequence
 
@@ -86,12 +86,7 @@ class DistributionSet:
     @property
     def epsilon(self) -> Fraction:
         """Smallest weight across all members; positive iff strictly positive."""
-        # each member's smallest numerator, over the common denominator of all members
-        common = math.lcm(*(member.lcd for member in self.members))
-        return Fraction(
-            min(min(member.numerators) * (common // member.lcd) for member in self.members),
-            common,
-        )
+        return min(min(member.weights) for member in self.members)
 
     @property
     def is_strictly_positive(self) -> bool:
@@ -211,10 +206,7 @@ def _member_gaps(
     """gaps[i][k] = L_i * threshold_gaps(member k)[i], as Python ints.
 
     L_i > 0 is the LCD of row i, so every sign of gaps[i] . y is that of the
-    unscaled row. Each gap is built from the member's integer form: with
-    q_i = a/b and S the member's numerators on the judgements supporting
-    proposition i, the gap is (a*D - b*S) / (b*D), reduced as a Fraction
-    would be. Shared by a set's pattern LPs and cached by identity, as
+    unscaled row. Shared by a set's pattern LPs and cached by identity, as
     hashing every weight per LP costs a tenth of the gaps; each entry holds
     its three objects, so no id is reused while it lives.
     """
@@ -222,16 +214,9 @@ def _member_gaps(
     if key not in _gaps_cache:
         _check_inputs(dists, rule, agenda)
         gaps = []
-        for q, column in zip(rule.thresholds, zip(*proposition_patterns(agenda))):
-            a, b = q.numerator, q.denominator
-            row = []
-            for member in dists.members:
-                top = a * member.lcd - b * sum(compress(member.numerators, column))
-                bottom = b * member.lcd
-                common = math.gcd(top, bottom)
-                row.append((top // common, bottom // common))
-            lcd = math.lcm(*(den for _, den in row))
-            gaps.append(tuple(num * (lcd // den) for num, den in row))
+        for row in zip(*(threshold_gaps(member.weights, rule, agenda) for member in dists.members)):
+            lcd = math.lcm(*(gap.denominator for gap in row))
+            gaps.append(tuple(gap.numerator * (lcd // gap.denominator) for gap in row))
         _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))
     return _gaps_cache[key][3]
 
@@ -302,11 +287,6 @@ def _phase_one(
         return None, [det - cost[cols + i] for i in range(rows)]
     value = {j: row[-1] for j, row in zip(basis, tableau)}
     return [Fraction(value.get(j, 0), det) for j in range(cols)], None
-
-
-def _sign_allowed(s: int, gap: Sequence[int]) -> bool:
-    """False iff s is strict and no member has -s * gap > 0: then e_row refutes s."""
-    return not s or any(-s * g > 0 for g in gap)
 
 
 def _own_patterns(gaps: tuple[tuple[int, ...], ...]) -> list[SignPattern]:
@@ -426,10 +406,13 @@ def kappa_conditions(
     for axis in range(bad.ndim):
         one, zero = touch.take(1, axis), touch.take(0, axis)
         touch = np.stack((one, one | zero, zero), axis)
-    allowed = [[s for s in (1, 0, -1) if _sign_allowed(s, gap)] for gap in gaps]
-    own = set(_own_patterns(gaps))
+    own = _own_patterns(gaps)
+    # strict s on row i needs a member with -s * gap > 0, whose own sign there is s;
+    # without one, e_i is the Farkas certificate of every pattern holding s
+    allowed = [[s for s in (1, 0, -1) if not s or s in signs] for signs in zip(*own)]
     # the members' own patterns first: each is its member's witness, no simplex
-    order = sorted(product(*allowed), key=lambda beta: beta not in own)
+    first = set(own)
+    order = sorted(product(*allowed), key=lambda beta: beta not in first)
     touches = {beta: bool(touch[tuple(1 - s for s in beta)]) for beta in order}
     # κ2: no pattern allowing a bad outcome is realized; κ3: some other one is
     k2 = not any(

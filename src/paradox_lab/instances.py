@@ -66,13 +66,14 @@ def _built(path: str, make, *args):
 def _rational(value, path: str) -> Fraction:
     q = _built(path, as_rational, value)
     if q.numerator < 0 or q.numerator > q.denominator:
-        raise ValidationError(path, f"{q} outside [0, 1]")
+        raise ValidationError(path, f"{format_rational(q)} outside [0, 1]")
     return q
 
 
 def _bit(value, path: str) -> int:
     if type(value) is not int or value not in (0, 1):
-        raise ValidationError(path, f"expected 0 or 1, got {value!r}")
+        shown = format_rational(value) if type(value) is int else repr(value)
+        raise ValidationError(path, f"expected 0 or 1, got {shown}")
     return value
 
 

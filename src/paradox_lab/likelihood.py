@@ -329,7 +329,7 @@ def histogram_distribution(
 
 
 def monte_carlo_estimate(
-    assignment: Union[Assignment, Sequence[int], Sequence[Sequence[int]]],
+    assignment: Union[Assignment, Sequence[int], Sequence[Union[Assignment, Sequence[int]]]],
     dists: DistributionSet,
     rule: QuotaRule,
     agenda: Agenda,
@@ -342,9 +342,10 @@ def monte_carlo_estimate(
     except when no trial, or every trial, is a paradox: p_hat * (1 - p_hat) is
     then 0, and the variance of a single hit, (trials - 1) / trials^2, takes its
     place, so a rare event's error is not 0.0 (for trials >= 2). ``assignment``
-    may also be a list of count vectors, as Monte Carlo :func:`smoothed_extremes`
-    passes all of them; they must all total the same n agents, and estimates
-    and errors then come back as two arrays in that order.
+    may also be a list of Assignments or count vectors, as Monte Carlo
+    :func:`smoothed_extremes` passes all of them; they must all total the same
+    n agents, and estimates and errors then come back as two arrays in that
+    order.
 
     All assignments share the sampled agents. Per chunk j of trials, member k
     draws its most agents once from SeedSequence(seed, spawn_key=(k, j)), one
@@ -359,7 +360,8 @@ def monte_carlo_estimate(
     :func:`~paradox_lab.aggregation.acceptance_count`, and the verdicts index
     the outcome table.
     """
-    many = np.ndim(assignment) == 2
+    # a list of Assignments or count vectors, not of counts
+    many = not isinstance(assignment, Assignment) and not np.isscalar(next(iter(assignment), 0))
     assignments = [_as_assignment(a, dists) for a in (assignment if many else [assignment])]
     _check_inputs(dists, rule, agenda)
     totals = {a.n for a in assignments}

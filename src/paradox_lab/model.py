@@ -1,13 +1,13 @@
 """Foundational types: judgements, votes, profiles, histograms, agendas, quota rules.
 
 All numeric fields are exact rationals (``fractions.Fraction``); no floating
-point value ever enters a comparison made by these types. Each
-:class:`FractionalVote` also carries its integer form, computed once when it
-is built: ``lcd``, the least common denominator D of its weights, and
-``numerators``, each weight times D. Its own [0, 1] and sum-to-1 checks,
-the distinct-member check and ``epsilon`` of a distribution set, the κ
-checks' integer sign-pattern rows and the rational engine's weights read
-that form instead of redoing Fraction arithmetic per call.
+point value ever enters a comparison made by these types. The integer form
+of a weight vector, :func:`integer_form`, is D, the least common denominator
+of its weights, and each weight times D. Each :class:`FractionalVote` stores
+it once, as ``lcd`` and ``numerators``, for its own [0, 1] and sum-to-1
+checks, the distinct-member check of a distribution set and the rational
+engine's weights; :func:`~paradox_lab.aggregation.threshold_gaps` computes
+every quota gap from it.
 
 The canonical judgement order is the one :func:`judgements` lists, and truth
 tables, vote weights and histograms are indexed in it: the premise bits read as
@@ -17,6 +17,7 @@ p=2 the judgements are (0,0), (0,1), (1,0), (1,1).
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import re
@@ -40,8 +41,8 @@ def as_rational(value: RationalLike) -> Fraction:
 
     A Fraction is returned as it is. A string is an optional "-", ASCII
     digits, then optionally "/digits" or ".digits", each part read with
-    ``int()``: its digit limit keeps every such value printable by
-    :func:`format_rational`. Anything else raises TypeError or ValueError.
+    ``int()``, so a part past its digit limit is refused. Anything else
+    raises TypeError or ValueError.
     """
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
@@ -59,10 +60,18 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as 'num/den' (or a bare integer when den == 1)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction or an int as 'num/den', or bare when den == 1, at any length."""
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    try:
+        return "/".join(map(str, parts))
+    except ValueError:  # a part past str()'s int digit limit; libmpdec has none
+        return "/".join(str(decimal.Decimal(part)) for part in parts)
+
+
+def integer_form(weights: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, numerators): D the least common denominator of the weights, each weight times D."""
+    lcd = math.lcm(*(w.denominator for w in weights))
+    return lcd, tuple(w.numerator * (lcd // w.denominator) for w in weights)
 
 
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
@@ -125,10 +134,9 @@ class FractionalVote:
     """A probability distribution over the 2**p judgements.
 
     A plain (non-fractional) vote is the special case with a single unit
-    weight; see :meth:`point`. ``lcd`` (D, the least common denominator of
-    the weights) and ``numerators`` (each weight times D) are its integer
-    form, derived once from the weights and left out of the constructor,
-    equality, hash and repr.
+    weight; see :meth:`point`. ``lcd`` and ``numerators`` are the
+    :func:`integer_form` of the weights, derived once and left out of the
+    constructor, equality, hash and repr.
     """
 
     weights: tuple[Fraction, ...]
@@ -141,12 +149,11 @@ class FractionalVote:
         m = len(weights)
         if m == 0 or m & (m - 1):
             raise DimensionError(f"vote length must be a power of two, got {m}")
-        lcd = math.lcm(*(w.denominator for w in weights))
-        numerators = tuple(w.numerator * (lcd // w.denominator) for w in weights)
+        lcd, numerators = integer_form(weights)
         if any(num < 0 or num > lcd for num in numerators):
             raise ValueError("vote weights must lie in [0, 1]")
         if sum(numerators) != lcd:
-            raise ValueError(f"vote weights must sum to 1, got {sum(weights)}")
+            raise ValueError(f"vote weights must sum to 1, got {format_rational(sum(weights))}")
         object.__setattr__(self, "lcd", lcd)
         object.__setattr__(self, "numerators", numerators)
 

@@ -24,7 +24,7 @@ from paradox_lab import (
     is_paradox,
     parse_instance,
 )
-from paradox_lab.aggregation import threshold_gaps
+from paradox_lab.aggregation import proposition_patterns
 from paradox_lab.conditions import _phase_one
 
 INSTANCE_DIR = Path(__file__).parent / "instances"
@@ -207,11 +207,12 @@ def zero_start_absorb_step(values: np.ndarray, weights: Sequence, patterns, befo
 def fraction_member_gaps(dists: DistributionSet, rule: QuotaRule, agenda: Agenda):
     """The integer sign-pattern rows from Fraction gaps: the reference for ``_member_gaps``.
 
-    Row i is the members' threshold gaps on proposition i, each a Fraction,
-    scaled by the LCD of their denominators.
+    Row i is the members' gaps q_i - support_i on proposition i, each summed
+    in Fractions, scaled by the LCD of their denominators.
     """
     gaps = []
-    for row in zip(*(threshold_gaps(pi.weights, rule, agenda) for pi in dists.members)):
+    for q, column in zip(rule.thresholds, zip(*proposition_patterns(agenda))):
+        row = [q - sum(w for w, bit in zip(pi.weights, column) if bit) for pi in dists.members]
         lcd = math.lcm(*(g.denominator for g in row))
         gaps.append(tuple(g.numerator * (lcd // g.denominator) for g in row))
     return tuple(gaps)

@@ -398,14 +398,15 @@ def test_kappa_table_matches_pattern_enumeration(monkeypatch):
 
 
 def test_sign_screen_is_sound():
-    # a strict sign the one-row screen drops leaves no pattern holding it
-    # feasible, by the witness search and by the simplex alone; each member's
-    # own pattern gets a witness with that pattern
+    # a strict sign that no member's own pattern has on a row leaves no
+    # pattern holding it there feasible, by the witness search and by the
+    # simplex alone; each member's own pattern gets a witness with that pattern
     dropped = 0
     for dists, rule, agenda, _ in _oracle_cases():
         gaps = conditions._member_gaps(dists, rule, agenda)
+        signs = list(zip(*conditions._own_patterns(gaps)))
         for beta in product((1, 0, -1), repeat=agenda.p + 1):
-            if all(conditions._sign_allowed(s, gap) for s, gap in zip(beta, gaps)):
+            if all(not s or s in row for s, row in zip(beta, signs)):
                 continue
             dropped += 1
             assert sign_pattern_witness(beta, dists, rule, agenda) is None
@@ -643,6 +644,49 @@ def test_member_gaps_equal_their_fraction_reference():
                 members.append(vote)
         dists = DistributionSet(tuple(members))
         assert conditions._member_gaps(dists, rule, agenda) == fraction_member_gaps(dists, rule, agenda)
+
+
+def _row_form(i: int, weights, rule: QuotaRule, agenda: Agenda) -> Fraction:
+    """characteristic_vector(i) . weights, summed in Fractions."""
+    row = characteristic_vector(i, rule, agenda)
+    return sum((c * w for c, w in zip(row, weights)), Fraction(0))
+
+
+def test_gaps_and_lp_rows_read_the_row_form():
+    # each gap is its characteristic row's product, on histograms with zero,
+    # int and Fraction weights and on distributions with zero and unit
+    # weights; and row i of the LP is L_i * (characteristic_vector(i) . pi_k)
+    # over the members k, L_i the row's least common denominator, on the
+    # golden instances and random p <= 3 sets
+    rng = random.Random("gaps and lp rows read the row form")
+    for _ in range(300):
+        p = rng.randint(1, 3)
+        m = 1 << p
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(m)))
+        rule = random_rule(rng, p + 1)
+        counts = [rng.choice([0, 0, 1, 5, Fraction(rng.randint(1, 9), rng.randint(1, 7))])
+                  for _ in range(m)]
+        counts[rng.randrange(m)] = rng.randint(1, 3)
+        judgement = judgements(p)[rng.randrange(m)]
+        for weights in (counts, Histogram(counts).weights, _random_vote(rng, m).weights,
+                        FractionalVote.point(judgement).weights):
+            gaps = threshold_gaps(weights, rule, agenda)
+            assert all(type(g) is Fraction for g in gaps)
+            assert gaps == tuple(_row_form(i, weights, rule, agenda) for i in range(1, p + 2))
+    cases = [(inst.distributions, inst.rule, inst.agenda)
+             for inst in map(parse_instance, sorted(INSTANCE_DIR.glob("*.json")))]
+    for _ in range(60):
+        p = rng.randint(1, 3)
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        cases.append((random_positive_members(rng, agenda.m, rng.randint(1, 8)),
+                      random_rule(rng, p + 1), agenda))
+    for dists, rule, agenda in cases:
+        rows = []
+        for i in range(1, agenda.p + 2):
+            row = [_row_form(i, member.weights, rule, agenda) for member in dists.members]
+            lcd = math.lcm(*(g.denominator for g in row))
+            rows.append(tuple(int(g * lcd) for g in row))
+        assert conditions._member_gaps(dists, rule, agenda) == tuple(rows)
 
 
 def test_integer_form_matches_its_fraction_definitions():

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -213,6 +214,51 @@ def test_parse_reports_an_integer_literal_past_the_digit_limit(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_instance(path)
     assert err.value.path == "$"
+
+
+def _read_rational(text: str) -> Fraction:
+    """'num/den' or 'num' read at any length: libmpdec has no digit limit."""
+    num, _, den = text.partition("/")
+    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+
+
+@pytest.mark.parametrize("key", ["thresholds", "truth_table", "breakings"])
+def test_an_integer_past_the_digit_limit_is_refused_at_its_path(key):
+    # parse_instance_dict called from Python can carry any int; its message prints it
+    data = _base_dict()
+    data[key][0] = 10**5000
+    with pytest.raises(ValidationError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == f"{key}[0]"
+    assert "1" + "0" * 5000 in err.value.message
+
+
+def test_a_weight_sum_past_the_digit_limit_is_printed():
+    # each weight prints, but their sum's denominator has 5,864 digits
+    data = _base_dict()
+    data["distributions"][0] = [f"1/{10**3000}", f"1/{3**6000}", "0", "0"]
+    with pytest.raises(ValidationError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == "distributions[0]"
+    head, _, total = err.value.message.rpartition(" ")
+    assert head == "vote weights must sum to 1, got"
+    assert _read_rational(total) == Fraction(1, 10**3000) + Fraction(1, 3**6000)
+
+
+def test_cli_exact_prints_a_probability_past_the_digit_limit(tmp_path, capsys):
+    # the one member [(10^60 - 3)/10^60, 3/10^60] at n = 80: every exact
+    # probability is over 10^4800, whose 4,801 digits str() refuses
+    data = json.loads((INSTANCE_DIR / "single_premise_mirror.json").read_text())
+    data["distributions"] = [[f"{10**60 - 3}/{10**60}", f"3/{10**60}"]]
+    path = tmp_path / "mirror60.json"
+    path.write_text(json.dumps(data))
+    assert main(["exact", "--instance", str(path), "--value-mode", "rational", "--n", "80"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    inst = parse_instance(path)
+    extremes = smoothed_extremes(inst.distributions, 80, inst.rule, inst.agenda,
+                                 value_mode="rational")
+    assert _read_rational(payload["max"]["exact"]) == extremes.max_probability
+    assert len(payload["max"]["exact"].partition("/")[2]) > 4300
 
 
 def test_mismatched_instance_raises_dimension_error(mirror_instance):

@@ -656,6 +656,19 @@ def test_monte_carlo_assignments_share_one_total():
         monte_carlo_estimate([(2, 0), (2, 1)], THETA1, MAJ, AND2, trials=10)
 
 
+def test_monte_carlo_reads_a_list_of_assignments_as_a_list():
+    # Assignment objects and count vectors give the same two arrays; a ragged
+    # list is refused at the count vector that does not fit the set
+    counts = [(2, 1), (0, 3), (3, 0)]
+    as_tuples = monte_carlo_estimate(counts, THETA1, MAJ, AND2, trials=2000, seed=7)
+    as_objects = monte_carlo_estimate([Assignment(c) for c in counts], THETA1, MAJ, AND2,
+                                      trials=2000, seed=7)
+    assert all(np.array_equal(x, y) for x, y in zip(as_tuples, as_objects))
+    assert len(as_objects[0]) == len(counts)
+    with pytest.raises(DimensionError):
+        monte_carlo_estimate([(1, 2), (3,)], THETA1, MAJ, AND2, trials=100)
+
+
 def test_monte_carlo_degenerate_point_mass():
     # a deterministic vote distribution is fine for sampling even though it
     # is outside the strictly-positive regime the condition checks need

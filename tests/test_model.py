@@ -1,3 +1,5 @@
+import decimal
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +98,23 @@ def test_rational_arithmetic_is_exact():
     assert as_rational("0.125") == Fraction(1, 8)
     assert format_rational(Fraction(13, 20)) == "13/20"
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(13, 20),
+    Fraction(-7),
+    pytest.param(Fraction(10**5000 + 1, 3**9000), id="5001-digit-numerator"),
+    pytest.param(Fraction(-3, 10**4300), id="4301-digit-denominator"),
+    pytest.param(Fraction(-(10**6000)), id="6001-digit-integer"),
+])
+def test_format_rational_prints_any_length(value):
+    # past the int-to-str digit limit the digits come from libmpdec, and the
+    # limit itself is left as it was
+    limit = sys.get_int_max_str_digits()
+    num, slash, den = format_rational(value).partition("/")
+    assert bool(slash) == (value.denominator != 1)
+    assert Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1"))) == value
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_as_rational_rejects_floats():
