@@ -10,17 +10,18 @@ On an integer count out of n votes the verdict is 1 iff the count reaches
 count grid goes through.
 
 Every count grid of the package covers, after k of n votes, the two-sided
-windows of :func:`count_windows` and grows by the one-agent step
-:func:`_grid_step`, run from the unit grid by :func:`final_count_grid`; its
-adjoint :func:`_absorb_step` takes a grid of values one agent back. Both sum
-shifted slices of a padded grid by :func:`_sum_shifted`; the forward steps
-fold window ends by :func:`_fold_ends`. The last grid sits in the table of
-outcome vectors at :func:`outcome_slices`, and :func:`paradox_table`, the one
+windows of :func:`count_windows`. The one-agent step :func:`_grid_step` grows
+a grid of counts, and its adjoint :func:`_absorb_step` takes a grid of
+values one agent back. Both sum shifted slices of a padded grid by
+:func:`_sum_shifted`; the forward steps fold window ends by
+:func:`_fold_ends`. The grid after all n votes sits in the table of outcome
+vectors at :func:`outcome_slices`, and :func:`paradox_table`, the one
 interface between count grids and verdicts, marks the table's inconsistent
-outcomes for the κ checks, the exact probabilities and Monte Carlo alike. The
-reachable outcomes need no conclusion axis: :func:`_reach_step`, the max-plus
-form of :func:`_grid_step` over the premise windows, keeps per premise cell
-the most agents with conclusion 1 and the most with conclusion 0.
+outcomes for the κ checks, the exact probabilities, whose absorption chains
+start from it, and Monte Carlo alike. The reachable outcomes need no
+conclusion axis: :func:`_reach_step`, the max-plus form of :func:`_grid_step`
+over the premise windows, keeps per premise cell the most agents with
+conclusion 1 and the most with conclusion 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, charge
+from .errors import DimensionError
 from .model import (
     Agenda,
     Histogram,
@@ -230,23 +231,6 @@ def _reach_step(
     return _fold_ends(new, before, after, np.maximum)
 
 
-def final_count_grid(agents: Sequence[Sequence], patterns: Sequence[tuple[int, ...]],
-                     rule: QuotaRule, dtype: type, state_budget: int) -> np.ndarray:
-    """The count grid after the n = len(agents) agents of weights ``agents[k]``.
-
-    :func:`_grid_step` from the unit grid over :func:`count_windows`, its largest
-    window charged first. With True weights on bool it marks reachable counts,
-    which only the underflow masks of the float error check ask for; the
-    reachable outcomes come from the smaller grids of :func:`_reach_step`.
-    """
-    windows = count_windows(rule, len(agents))
-    charge("count grid", max(map(window_cells, windows)), state_budget)
-    grid = np.ones((1,) * rule.propositions, dtype=dtype)
-    for weights, before, after in zip(agents, windows, windows[1:]):
-        grid = _grid_step(grid, weights, patterns, before, after)
-    return grid
-
-
 def _absorb_step(
     values: np.ndarray,
     weights: Sequence,
@@ -259,6 +243,9 @@ def _absorb_step(
     ``values`` lies on window ``after``, the result on ``before``: entry t
     sums w * values[class of count lo + t + pattern], in pattern order, read
     from ``values`` edge-padded by lo' - lo below and hi + 1 - hi' above.
+    On bool values with True weights the sums are ORs: the cells from which
+    a marked cell is reachable, which the underflow masks of the float error
+    check read.
     """
     box = tuple(hi - lo + 1 for lo, hi in before)
     padded = np.empty(tuple(b + 1 for b in box), dtype=values.dtype)

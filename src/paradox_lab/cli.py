@@ -264,8 +264,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # parse_args writes only to the namespace it returns, so calls share nothing
     args = _parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError("--seed", f"expected a non-negative integer, got {args.seed}")
+        # flags a command lacks read 0
+        for flag in ("--seed", "--budget-states", "--budget-assignments"):
+            value = getattr(args, flag[2:].replace("-", "_"), 0)
+            if value < 0:
+                raise ValidationError(flag, f"expected a non-negative integer, got {value}")
         if args.instance is not None:
             args.instance = parse_instance(args.instance)
         if args.output:
@@ -287,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:

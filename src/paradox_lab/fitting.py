@@ -61,6 +61,8 @@ def _validate_series(series: Sequence[tuple[float, float]]) -> tuple[np.ndarray,
     y = np.array([float(b) for _, b in series], dtype=np.float64)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("series contains non-finite values")
+    if np.all(x == x[0]):
+        raise ValueError("all x values are identical")
     return x, y
 
 

@@ -3,11 +3,12 @@
 Because quota rules are anonymous and agents sample independently, the
 probability depends on a distribution assignment only through its counts, and
 on a profile only through its per-proposition support counts, and on each
-count only through whether it reaches its acceptance count. Exact
-probabilities therefore convolve one agent at a time, by
-:func:`~paradox_lab.aggregation.final_count_grid`, from the single zero
-vector to the law of the outcome vector after all n agents, and sum it over
-the outcomes that :func:`~paradox_lab.aggregation.paradox_table` marks;
+count only through whether it reaches its acceptance count. Every exact
+value is therefore read from one chain that starts at the outcomes
+:func:`~paradox_lab.aggregation.paradox_table` marks, on the window of all n
+agents, and absorbs agents one at a time, last first, by
+:func:`~paradox_lab.aggregation._absorb_step`: down to the single zero
+vector for one assignment (see :func:`exact_paradox_probability`).
 Monte Carlo reads its verdicts from the same table, and all assignments
 share each member's sampled agents (see :func:`monte_carlo_estimate`), so
 estimates are correlated across assignments while each stays unbiased with
@@ -19,10 +20,10 @@ float64 on every platform, and :func:`_exact` picks the engine once per
 run, by one rule. Every float result is checked against its error bound:
 a relative gamma_N plus an absolute A for roundings below float64's normal
 range (see :func:`_error_bound`).
-The adversarial sup/inf ranges over count multisets; in every value mode one
-assignment tree gives each assignment's probability: the last member's
-absorption chain, by :func:`~paradox_lab.aggregation._absorb_step`, is
-computed once, and the other members' counts are walked depth-first (see
+The adversarial sup/inf ranges over count multisets. A one-member set has one
+assignment; for more members, in every value mode, one assignment tree gives
+each assignment's probability: the last member's absorption chain is stored
+once, and the other members' counts are walked depth-first (see
 :func:`_exact_assignment_probabilities`).
 """
 
@@ -46,7 +47,6 @@ from .aggregation import (
     _grid_step,
     acceptance_counts,
     count_windows,
-    final_count_grid,
     outcome_slices,
     paradox_table,
     proposition_patterns,
@@ -273,22 +273,29 @@ def exact_paradox_probability(
 ) -> Union[Fraction, float]:
     """Probability that a profile drawn under the assignment is a paradox.
 
-    Both engines convolve by :func:`~paradox_lab.aggregation.final_count_grid`,
-    and ``state_budget`` caps the cells of its largest grid. The number type
-    is :func:`_exact`'s, as :func:`smoothed_extremes` runs at this n:
-    ``'rational'`` returns an exact fraction, ``'float'`` a float checked
-    against :func:`_error_bound`, and ``'auto'`` either, by one rule.
+    Both engines start from the paradox indicator on the window of all n
+    agents and absorb the agents one at a time, last first, by
+    :func:`~paradox_lab.aggregation._absorb_step`, down to the one cell of no
+    agents; only the newest grid is kept, and ``state_budget`` caps the cells
+    of the largest window. The number type is :func:`_exact`'s, as
+    :func:`smoothed_extremes` runs at this n: ``'rational'`` returns an exact
+    fraction, ``'float'`` a float checked against :func:`_error_bound`, and
+    ``'auto'`` either, by one rule.
     """
     assignment = _as_assignment(assignment, dists)
     _check_inputs(dists, rule, agenda)
     n = assignment.n
-    patterns, table = proposition_patterns(agenda), paradox_table(agenda)[outcome_slices(rule, n)]
+    patterns, windows = proposition_patterns(agenda), count_windows(rule, n)
+    table = paradox_table(agenda)[outcome_slices(rule, n)]
 
     def run(dtype: type) -> tuple[list, list]:
+        charge("count grid", max(map(window_cells, windows)), state_budget)
         weights = _member_weights(dists, dtype)
         agents = [w for w, count in zip(weights, assignment.counts) for _ in range(count)]
-        grid = final_count_grid(agents, patterns, rule, dtype, state_budget)
-        return [assignment.counts], [(grid * table).sum()]
+        values = table.astype(dtype)
+        for w, before, after in reversed(list(zip(agents, windows, windows[1:]))):
+            values = _absorb_step(values, w, patterns, before, after)
+        return [assignment.counts], [values.item()]
 
     return _exact(dists, n, agenda.p, value_mode, run)[0][1]
 
@@ -446,26 +453,29 @@ def _exact_assignment_probabilities(
     value_mode: str,
     state_budget: int,
 ) -> list[tuple[tuple[int, ...], Union[Fraction, float]]]:
-    """Every assignment's probability, from one assignment tree.
+    """Every assignment's probability: one member's one, else one assignment tree.
 
-    The last member's absorption chain is computed once: W_r(t) is
-    P(paradox | counts t of the other n - r agents, r agents of the last
-    member) on the window of n - r agents, W_0 the paradox indicator.
-    Members 0..l-2 are walked depth-first in lexicographic order, one
-    :func:`~paradox_lab.aggregation._grid_step` per tree node, and a leaf whose
-    grid holds a agents is the assignment with n - a agents on the last member,
-    of probability (grid * W_{n-a}).sum(). One member reads only W_n, so it
-    keeps just the newest W_r and is charged the largest window, as
-    :func:`exact_paradox_probability` is. More members are charged the stored
-    chain plus the l - 2 walk grids held above the current one, each at most the
-    largest window. The number type is :func:`_exact`'s. Each ``tree`` call
-    charges the budget and its chain dies with it, before the results are
-    checked; on bool masks the tree marks the leaves that reach a paradox.
+    A one-member set has the one assignment (n,), of probability
+    :func:`exact_paradox_probability`. For more members the last member's
+    absorption chain is computed once: W_r(t) is P(paradox | counts t of the
+    other n - r agents, r agents of the last member) on the window of n - r
+    agents, W_0 the paradox indicator. Members 0..l-2 are walked depth-first
+    in lexicographic order, one :func:`~paradox_lab.aggregation._grid_step`
+    per tree node, and a leaf whose grid holds a agents is the assignment with
+    n - a agents on the last member, of probability (grid * W_{n-a}).sum().
+    The tree is charged the stored chain plus the l - 2 walk grids held above
+    the current one, each at most the largest window. The number type is
+    :func:`_exact`'s. Each ``tree`` call charges the budget and its chain dies
+    with it, before the results are checked; on bool masks the tree marks the
+    leaves that reach a paradox.
     """
+    if dists.size == 1:
+        return [((n,), exact_paradox_probability((n,), dists, rule, agenda, value_mode=value_mode,
+                                                 state_budget=state_budget))]
     patterns = proposition_patterns(agenda)
     windows = count_windows(rule, n)
     cells = [window_cells(window) for window in windows]
-    entries = max(cells) if dists.size == 1 else sum(cells) + (dists.size - 2) * max(cells)
+    entries = sum(cells) + (dists.size - 2) * max(cells)
     table = paradox_table(agenda)[outcome_slices(rule, n)]
 
     def tree(dtype: type) -> tuple[list, list]:
@@ -474,15 +484,12 @@ def _exact_assignment_probabilities(
         absorb = [table.astype(dtype)]
         for before, after in reversed(list(zip(windows, windows[1:]))):
             absorb.append(_absorb_step(absorb[-1], weights[-1], patterns, before, after))
-            if dists.size == 1:
-                del absorb[0]
         counts_list, values = [], []
         root = np.ones((1,) * (agenda.p + 1), dtype=dtype)
         for head, grid in _walk(root, weights[:-1], patterns, windows):
             agents = sum(head)
             counts_list.append(head + (n - agents,))
-            # W_{n - agents}, counted from the end so that one member's W_n is found
-            values.append((grid * absorb[-1 - agents]).sum())
+            values.append((grid * absorb[n - agents]).sum())
         return counts_list, values
 
     return _exact(dists, n, agenda.p, value_mode, tree)

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DimensionError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:([/.])([0-9]+))?")  # whole, separator, part
 

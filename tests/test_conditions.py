@@ -30,8 +30,9 @@ from paradox_lab import (
 from paradox_lab import conditions
 from paradox_lab.errors import ResourceBudgetError
 from paradox_lab.aggregation import (
+    _grid_step,
     acceptance_count,
-    final_count_grid,
+    count_windows,
     outcome_slices,
     paradox_table,
     proposition_patterns,
@@ -442,10 +443,12 @@ def test_reachable_counts_match_histogram_enumeration():
 
 def _full_grid_reachable(n, rule, agenda):
     """Reachable outcomes from the bool count grid over all p+1 axes, True weights."""
+    windows, patterns = count_windows(rule, n), proposition_patterns(agenda)
+    grid = np.ones((1,) * (agenda.p + 1), dtype=bool)
+    for before, after in zip(windows, windows[1:]):
+        grid = _grid_step(grid, (True,) * agenda.m, patterns, before, after)
     table = np.zeros((2,) * (agenda.p + 1), dtype=bool)
-    table[outcome_slices(rule, n)] = final_count_grid(
-        [(True,) * agenda.m] * n, proposition_patterns(agenda), rule, bool, 10**9
-    )
+    table[outcome_slices(rule, n)] = grid
     return table
 
 

@@ -54,6 +54,14 @@ def test_requires_four_points():
         fit_curve([(1, 0.5), (2, 0.4), (3, 0.3)], "exp_decay")
 
 
+@pytest.mark.parametrize("family", fitting.FAMILIES)
+def test_every_family_rejects_a_constant_x(family):
+    # inv_sqrt_shift has no regression of its own to refuse it
+    series = [(20, 0.5), (20, 0.4), (20, 0.3), (20, 0.2)]
+    with pytest.raises(ValueError, match="all x values are identical"):
+        fit_curve(series, family)
+
+
 def test_log_linear_rejects_nonpositive():
     series = [(1, 0.5), (2, 0.0), (3, 0.1), (4, 0.05)]
     with pytest.raises(ValueError):

@@ -533,6 +533,18 @@ def test_cli_fit_long_row_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error: fit.input")
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["20,0.5", "20,0.4", "20,0.3", "20,0.2"], "all x values are identical"),
+    (["1,0.5", "2,nan", "3,0.3", "4,0.2"], "series contains non-finite values"),
+])
+def test_cli_fit_on_a_constant_n_or_a_nan_exits_2(rows, message, tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("\n".join(["n,max_est", *rows]) + "\n")
+    for family in fitting.FAMILIES:
+        assert main(["fit", "--family", family, "--input", str(csv_path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     builds = []
 
@@ -583,19 +595,24 @@ def test_cli_sweep_rejects_step_zero(capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("mc", ["--n", "5"]),
-    ("sweep", ["--n-from", "2", "--n-to", "3", "--mode", "exact"]),
+    ("mc", ["--n", "5", "--seed", "-1"]),
+    ("sweep", ["--n-from", "2", "--n-to", "3", "--mode", "exact", "--seed", "-1"]),
+    ("check", ["--n", "5", "--budget-states", "-5"]),
+    ("sweep", ["--n-from", "2", "--n-to", "3", "--budget-states", "-5"]),
+    ("exact", ["--n", "5", "--budget-assignments", "-5"]),
 ])
 def test_cli_negative_seed_exits_2_naming_the_seed(command, extra, capsys, monkeypatch):
-    # rejected before any run, also by an exact sweep that never reads the seed
+    # the seed and both budgets are rejected before any run, also by an exact
+    # sweep that never reads the seed; a negative budget is no budget overrun
     def no_run(*args, **kwargs):
-        raise AssertionError("extremes ran before the seed was checked")
+        raise AssertionError("a run started before the flags were checked")
 
     monkeypatch.setattr(cli, "smoothed_extremes", no_run)
-    argv = [command, "--instance", _golden("conjunction_theta1.json"), *extra, "--seed", "-1"]
-    assert main(argv) == 2
+    monkeypatch.setattr(cli, "classify", no_run)
+    flag, value = extra[-2:]
+    assert main([command, "--instance", _golden("conjunction_theta1.json"), *extra]) == 2
     assert capsys.readouterr().err == (
-        "validation error: --seed: expected a non-negative integer, got -1\n")
+        f"validation error: {flag}: expected a non-negative integer, got {value}\n")
 
 
 def test_cli_io_errors_exit_2(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from paradox_lab import (
     exact_paradox_probability,
     histogram_distribution,
     monte_carlo_estimate,
+    parse_instance,
     smoothed_extremes,
 )
 from paradox_lab import likelihood
@@ -31,6 +32,7 @@ from paradox_lab.likelihood import (
 )
 from conftest import (
     CAPPED_RULE,
+    INSTANCE_DIR,
     brute_force_histogram_law,
     brute_force_paradox_probability,
     paradox_mass,
@@ -375,23 +377,38 @@ def test_extremes_bounds_and_order():
         assert 0.0 <= extremes.min_probability <= extremes.max_probability <= 1.0
 
 
+def _golden_members():
+    """(one-member set, rule, agenda) for every member of every golden instance."""
+    for path in sorted(INSTANCE_DIR.glob("*.json")):
+        instance = parse_instance(path)
+        for member in instance.distributions.members:
+            yield DistributionSet((member,)), instance.rule, instance.agenda
+
+
 def test_single_member_extremes_collapse():
-    single = DistributionSet((FractionalVote.uniform(2),))
-    extremes = smoothed_extremes(single, 4, MAJ, AND2, mode="exact", value_mode="rational")
-    expected = exact_paradox_probability((4,), single, MAJ, AND2, value_mode="rational")
-    assert extremes.max_probability == extremes.min_probability == expected
-    assert extremes.max_witness == Assignment((4,))
+    # a one-member set has the one assignment (n,): both extremes are its
+    # probability, bit for bit in float mode as in rational mode
+    for single, rule, agenda in _golden_members():
+        for value_mode, ns in (("float", (1, 5, 20, 60)), ("rational", (1, 5, 20))):
+            for n in ns:
+                extremes = smoothed_extremes(single, n, rule, agenda, value_mode=value_mode)
+                expected = exact_paradox_probability((n,), single, rule, agenda,
+                                                     value_mode=value_mode)
+                assert type(extremes.max_probability) is type(expected)
+                assert extremes.max_probability == extremes.min_probability == expected
+                assert extremes.max_witness == extremes.min_witness == Assignment((n,))
 
 
 def test_single_member_auto_extremes_follow_the_extremes_type():
-    # auto extremes switch to floats at n = 10 for one member as for two
-    single = DistributionSet((FractionalVote.of(["1/4", "1/4", "1/4", "1/4"]),))
-    for n, kind in ((9, Fraction), (10, float)):
-        auto = smoothed_extremes(single, n, MAJ, AND2, mode="exact")
-        exact = exact_paradox_probability((n,), single, MAJ, AND2, value_mode="rational")
-        assert type(auto.max_probability) is kind
-        assert type(auto.min_probability) is kind
-        assert auto.max_probability == pytest.approx(exact, rel=1e-12)
+    # auto extremes switch to floats at n = 10 for one member as for two, and
+    # equal the one assignment's auto probability
+    for single, rule, agenda in _golden_members():
+        for n, kind in ((1, Fraction), (9, Fraction), (10, float), (31, float)):
+            auto = smoothed_extremes(single, n, rule, agenda, mode="exact")
+            expected = exact_paradox_probability((n,), single, rule, agenda)
+            assert type(auto.max_probability) is type(auto.min_probability) is kind
+            assert type(expected) is kind
+            assert auto.max_probability == auto.min_probability == expected
 
 
 def test_mirror_extremes_vanish_at_odd_n():
