@@ -269,6 +269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), 0)
             if value < 0:
                 raise ValidationError(flag, f"expected a non-negative integer, got {value}")
+        # an exact sweep never reads --trials, but takes the flag, so checks it
+        trials = getattr(args, "trials", 1)
+        if trials < 1:
+            raise ValidationError("--trials", f"expected a positive integer, got {trials}")
         if args.instance is not None:
             args.instance = parse_instance(args.instance)
         if args.output:

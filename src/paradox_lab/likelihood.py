@@ -13,9 +13,11 @@ Monte Carlo reads its verdicts from the same table, and all assignments
 share each member's sampled agents (see :func:`monte_carlo_estimate`), so
 estimates are correlated across assignments while each stays unbiased with
 the same Wald standard error. The rational engine runs that kernel on
-Python-int numerators: member k's weights become integers over D_k, the
+integer numerators: member k's weights become integers over D_k, the
 least common denominator of its weights, and the common denominator
-prod_k D_k^(c_k) is applied once at the end. The float engine runs it in
+prod_k D_k^(c_k) is applied once at the end. The numerators are int64
+while every denominator the run can reach fits, Python ints beyond (see
+:func:`_exact`). The float engine runs it in
 float64 on every platform, and :func:`_exact` picks the engine once per
 run, by one rule. Every float result is checked against its error bound:
 a relative gamma_N plus an absolute A for roundings below float64's normal
@@ -112,7 +114,7 @@ class HistogramDistribution:
 
     def total(self) -> Fraction:
         """Sum of the probabilities: their numerators over the LCM of their denominators."""
-        lcd = math.lcm(*(p.denominator for p in self.probabilities.values()))
+        lcd = math.lcm(*{p.denominator for p in self.probabilities.values()})
         return Fraction(sum(p.numerator * (lcd // p.denominator)
                             for p in self.probabilities.values()), lcd)
 
@@ -162,14 +164,21 @@ def _lcds(dists: DistributionSet) -> list[int]:
     return [member.lcd for member in dists.members]
 
 
+def _int_type(largest: int) -> type:
+    """The array type of nonnegative integers up to ``largest``: np.int64 if it fits, else object."""
+    return np.int64 if largest <= np.iinfo(np.int64).max else object
+
+
 def _member_weights(dists: DistributionSet, dtype: type) -> list[Sequence]:
     """Each member's weights in ``dtype``.
 
-    For ``object`` the weights are the integer numerators w * D_k, so c_k
-    agents of member k put D_k^(c_k) into the common denominator. A float
-    weight is w rounded once, and a bool one its nonzero mask, w != 0.
+    For ``object`` and ``np.int64`` the weights are the same integer
+    numerators w * D_k, so c_k agents of member k put D_k^(c_k) into the
+    common denominator; :func:`_exact` says when int64 holds them.
+    A float weight is w rounded once, and a bool one its nonzero mask,
+    w != 0.
     """
-    if dtype is object:
+    if dtype is object or dtype is np.int64:
         return [member.numerators for member in dists.members]
     return [[dtype(w) for w in member.weights] for member in dists.members]
 
@@ -237,10 +246,20 @@ def _exact(dists: DistributionSet, n: int, p: int, value_mode: str,
     integer numerators of :func:`_member_weights`, 'float' in float64, and
     'auto' is rational iff n < _AUTO_FLOAT_MIN_N and max_k D_k^n, the worst
     denominator of any n-agent assignment, fits DEFAULT_DENOMINATOR_BITS.
-    ``run(dtype)`` returns the count vectors and their chain values: an
-    integer numerator becomes a Fraction over prod_k D_k^(c_k), and float
-    values are checked by :func:`_check_error_bound`, ``run(bool)`` giving
-    the underflow masks.
+    The numerators run on int64 while max_k D_k^n fits it, and on Python ints
+    beyond. That bound holds for every value, product and partial sum of the
+    run, all nonnegative: a forward step
+    (:func:`~paradox_lab.aggregation._grid_step`) sends each value on with
+    numerators summing to D_k, so a grid's sum stays the product of the D_k
+    of its agents so far and bounds its entries, products and partial sums;
+    an absorption step (:func:`~paradox_lab.aggregation._absorb_step`)
+    averages with the same numerators, so each value stays at or below the
+    product of the D_k absorbed, the paradox indicator starting at 1; and a
+    tree leaf's sum(grid * W) is at most its grid's sum times W's largest
+    value, prod_k D_k^(c_k) <= max_k D_k^n. ``run(dtype)`` returns the count
+    vectors and their chain values: an integer numerator becomes a Fraction
+    over prod_k D_k^(c_k), and float values are checked by
+    :func:`_check_error_bound`, ``run(bool)`` giving the underflow masks.
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
@@ -250,7 +269,7 @@ def _exact(dists: DistributionSet, n: int, p: int, value_mode: str,
         and n < _AUTO_FLOAT_MIN_N
         and (max(lcds) ** n).bit_length() <= DEFAULT_DENOMINATOR_BITS
     ):
-        counts_list, values = run(object)
+        counts_list, values = run(_int_type(max(lcds) ** n))
         probs = [
             Fraction(int(value), math.prod(lcd**c for lcd, c in zip(lcds, counts)))
             for value, counts in zip(values, counts_list)
@@ -308,18 +327,25 @@ def histogram_distribution(
 
     A histogram is one integer key, its counts the digits base n+1. Per nonzero w_j
     an agent adds place[j] to each key and multiplies each numerator by w_j; a stable
-    sort merges equal keys. Keys are int64 while (n+1)^m - 1 fits, else Python ints.
+    sort merges equal keys. Keys are int64 while (n+1)^m - 1 fits, else Python ints,
+    and so are the numerators while the denominator prod_k D_k^(c_k) fits: all
+    nonnegative, they sum to the product of the D_k of the agents so far, which
+    bounds every product and partial sum (as in :func:`_exact`). A member with no
+    agents is skipped, its D_k being no factor of that bound. Each distinct
+    numerator becomes one Fraction, shared by every histogram of that value.
     """
     assignment = _as_assignment(assignment, dists)
     n, m = assignment.n, dists.m
     numerators = _member_weights(dists, object)
     denominator = math.prod(lcd**count for lcd, count in zip(_lcds(dists), assignment.counts))
-    key_type = np.int64 if (n + 1) ** m - 1 <= np.iinfo(np.int64).max else object
+    key_type, value_type = _int_type((n + 1) ** m - 1), _int_type(denominator)
     place = np.array([(n + 1) ** e for e in range(m - 1, -1, -1)], dtype=key_type)
-    keys, values = np.zeros(1, dtype=key_type), np.ones(1, dtype=object)
+    keys, values = np.zeros(1, dtype=key_type), np.ones(1, dtype=value_type)
     for member_weights, count in zip(numerators, assignment.counts):
+        if not count:  # its numerators may not fit value_type
+            continue
         nonzero = [j for j, w in enumerate(member_weights) if w != 0]
-        step, w = place[nonzero], np.array(member_weights, dtype=object)[nonzero]
+        step, w = place[nonzero], np.array(member_weights, dtype=value_type)[nonzero]
         for _ in range(count):
             keys, values = (keys[:, None] + step).ravel(), (values[:, None] * w).ravel()
             order = np.argsort(keys, kind="stable")
@@ -327,7 +353,9 @@ def histogram_distribution(
             starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
             keys, values = keys[starts], np.add.reduceat(values, starts)
     hists = map(tuple, ((keys[:, None] // place) % (n + 1)).tolist())
-    return HistogramDistribution({h: Fraction(v, denominator) for h, v in zip(hists, values)}, n)
+    values = values.tolist()
+    shared = {v: Fraction(v, denominator) for v in set(values)}
+    return HistogramDistribution({h: shared[v] for h, v in zip(hists, values)}, n)
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,25 @@ def test_cli_negative_seed_exits_2_naming_the_seed(command, extra, capsys, monke
         f"validation error: {flag}: expected a non-negative integer, got {value}\n")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("mc", ["--n", "5", "--trials", "0"]),
+    ("sweep", ["--n-from", "3", "--n-to", "4", "--mode", "mc", "--trials", "0"]),
+    ("sweep", ["--n-from", "3", "--n-to", "4", "--mode", "exact", "--trials", "0"]),
+    ("sweep", ["--n-from", "3", "--n-to", "4", "--mode", "exact", "--trials", "-5"]),
+])
+def test_cli_trials_below_one_exits_2_naming_the_flag(command, extra, capsys, monkeypatch):
+    # every command that takes --trials rejects a count below 1 before any
+    # run, also an exact sweep, which never reads it
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the flags were checked")
+
+    monkeypatch.setattr(cli, "smoothed_extremes", no_run)
+    value = extra[-1]
+    assert main([command, "--instance", _golden("conjunction_theta1.json"), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: --trials: expected a positive integer, got {value}\n")
+
+
 def test_cli_io_errors_exit_2(tmp_path, capsys, monkeypatch):
     # the destination is checked before the first row: no row runs
     def no_rows(*args, **kwargs):

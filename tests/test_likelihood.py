@@ -231,16 +231,55 @@ def test_histogram_distribution_matches_brute_force_law():
             _assert_is_law(law, n)
 
 
-@pytest.mark.parametrize("n", [233, 234, 300])
+@pytest.mark.parametrize("n", [62, 63, 233, 234, 300])
 def test_histogram_distribution_keys_past_int64(n):
     # one p = 3 member on the first two judgements: the law is Binomial(n, 1/2).
-    # From n = 234 the key of (n, 0, ..., 0), n * (n+1)^7, passes 2^63 - 1.
+    # From n = 63 the denominator 2^n passes 2^63 - 1, so the numerators leave
+    # int64, and from n = 234 so does the key of (n, 0, ..., 0), n * (n+1)^7.
     half = DistributionSet((FractionalVote((Fraction(1, 2), Fraction(1, 2)) + (Fraction(0),) * 6),))
     law = histogram_distribution((n,), half)
     assert law.probabilities == {
         (k, n - k) + (0,) * 6: Fraction(math.comb(n, k), 2**n) for k in range(n + 1)
     }
     _assert_is_law(law, n)
+
+
+@pytest.mark.parametrize("counts", [(0, 5), (1, 4)])
+def test_histogram_distribution_beside_a_member_past_int64(counts):
+    # member 0's LCD is 10^60: with no agents of it the denominator 2^5 fits
+    # int64, yet its numerators do not, so only members with agents are read
+    dists = _dists([f"{10**60 - 3}/{10**60}", f"3/{10**60}"], ["1/2", "1/2"])
+    law = histogram_distribution(counts, dists)
+    assert law.probabilities == brute_force_histogram_law(counts, dists)
+    _assert_is_law(law, sum(counts))
+
+
+@pytest.mark.parametrize("n, numerator_type", [(38, np.int64), (40, object)])
+def test_rational_engine_at_the_int64_switch(n, numerator_type, monkeypatch):
+    # one member (1/3, 2/3) on the mirror rule: at even n the paradox is
+    # exactly n/2 accepting votes, P = C(n, n/2) * 2^(n/2) / 3^n; 3^38 fits
+    # int64 and 3^40 does not, so the numerators run on either side
+    dtypes = []
+    weights = likelihood._member_weights
+    monkeypatch.setattr(likelihood, "_member_weights",
+                        lambda dists, dtype: dtypes.append(dtype) or weights(dists, dtype))
+    third = _dists(["1/3", "2/3"])
+    expected = Fraction(math.comb(n, n // 2) * 2 ** (n // 2), 3**n)
+    assert exact_paradox_probability((n,), third, MIRROR_RULE, MIRROR,
+                                     value_mode="rational") == expected
+    extremes = smoothed_extremes(third, n, MIRROR_RULE, MIRROR, value_mode="rational")
+    assert extremes.max_probability == extremes.min_probability == expected
+    assert dtypes == [numerator_type] * 2
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_rational_tree_at_the_int64_switch_matches_histogram_laws(n):
+    # expsmall's largest D_k is 25: 25^13 fits int64 and 25^14 does not, and
+    # each histogram law's denominator 25^c * 10^(n-c) straddles it at n = 14
+    for counts, prob in _exact_assignment_probabilities(EXPSMALL, n, MAJ, AND2, "rational",
+                                                        DEFAULT_STATE_BUDGET):
+        law = histogram_distribution(counts, EXPSMALL)
+        assert prob == paradox_mass(law.probabilities, MAJ, AND2), counts
 
 
 def test_assignment_tree_float_matches_rational():
