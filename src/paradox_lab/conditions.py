@@ -24,7 +24,6 @@ runs only on the rest. No solver and no floating point anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, charge
-from .model import Agenda, FractionalVote, QuotaRule, judgements
+from .model import Agenda, FractionalVote, QuotaRule, integer_form, judgements
 from .aggregation import (
     OutcomeVector,
     _check_rule,
@@ -205,19 +204,18 @@ def _member_gaps(
 ) -> tuple[tuple[int, ...], ...]:
     """gaps[i][k] = L_i * threshold_gaps(member k)[i], as Python ints.
 
-    L_i > 0 is the LCD of row i, so every sign of gaps[i] . y is that of the
-    unscaled row. Shared by a set's pattern LPs and cached by identity, as
-    hashing every weight per LP costs a tenth of the gaps; each entry holds
-    its three objects, so no id is reused while it lives.
+    Row i is the integer form of the members' gaps on proposition i, L_i > 0
+    its LCD, so every sign of gaps[i] . y is that of the unscaled row. Shared
+    by a set's pattern LPs and cached by identity, as hashing every weight
+    per LP costs a tenth of the gaps; each entry holds its three objects, so
+    no id is reused while it lives.
     """
     key = (id(dists), id(rule), id(agenda))
     if key not in _gaps_cache:
         _check_inputs(dists, rule, agenda)
-        gaps = []
-        for row in zip(*(threshold_gaps(member.weights, rule, agenda) for member in dists.members)):
-            lcd = math.lcm(*(gap.denominator for gap in row))
-            gaps.append(tuple(gap.numerator * (lcd // gap.denominator) for gap in row))
-        _remember(_gaps_cache, key, (dists, rule, agenda, tuple(gaps)))
+        rows = zip(*(threshold_gaps(member.weights, rule, agenda) for member in dists.members))
+        gaps = tuple(integer_form(row)[1] for row in rows)
+        _remember(_gaps_cache, key, (dists, rule, agenda, gaps))
     return _gaps_cache[key][3]
 
 

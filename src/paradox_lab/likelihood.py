@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, charge
-from .model import Agenda, QuotaRule
+from .model import Agenda, QuotaRule, integer_form
 from .aggregation import (
     Window,
     _absorb_step,
@@ -113,10 +113,12 @@ class HistogramDistribution:
     agents: int
 
     def total(self) -> Fraction:
-        """Sum of the probabilities: their numerators over the LCM of their denominators."""
-        lcd = math.lcm(*{p.denominator for p in self.probabilities.values()})
-        return Fraction(sum(p.numerator * (lcd // p.denominator)
-                            for p in self.probabilities.values()), lcd)
+        """Sum of the probabilities: numerators summed per denominator, then in integer form."""
+        sums: dict[int, int] = {}
+        for p in self.probabilities.values():
+            sums[p.denominator] = sums.get(p.denominator, 0) + p.numerator
+        lcd, numerators = integer_form([Fraction(s, d) for d, s in sums.items()])
+        return Fraction(sum(numerators), lcd)
 
 
 @dataclass(frozen=True)
@@ -157,11 +159,6 @@ def _as_assignment(a: Union[Assignment, Sequence[int]], dists: DistributionSet) 
             f"assignment covers {len(assignment.counts)} distributions, set has {dists.size}"
         )
     return assignment
-
-
-def _lcds(dists: DistributionSet) -> list[int]:
-    """D_k, the LCD of member k's weights, for each member k."""
-    return [member.lcd for member in dists.members]
 
 
 def _int_type(largest: int) -> type:
@@ -263,7 +260,7 @@ def _exact(dists: DistributionSet, n: int, p: int, value_mode: str,
     """
     if value_mode not in ("auto", "rational", "float"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
-    lcds = _lcds(dists)
+    lcds = [member.lcd for member in dists.members]
     if value_mode == "rational" or (
         value_mode == "auto"
         and n < _AUTO_FLOAT_MIN_N
@@ -337,7 +334,7 @@ def histogram_distribution(
     assignment = _as_assignment(assignment, dists)
     n, m = assignment.n, dists.m
     numerators = _member_weights(dists, object)
-    denominator = math.prod(lcd**count for lcd, count in zip(_lcds(dists), assignment.counts))
+    denominator = math.prod(member.lcd**c for member, c in zip(dists.members, assignment.counts))
     key_type, value_type = _int_type((n + 1) ** m - 1), _int_type(denominator)
     place = np.array([(n + 1) ** e for e in range(m - 1, -1, -1)], dtype=key_type)
     keys, values = np.zeros(1, dtype=key_type), np.ones(1, dtype=value_type)
@@ -523,6 +520,53 @@ def _exact_assignment_probabilities(
     return _exact(dists, n, agenda.p, value_mode, tree)
 
 
+def _decided_float_extremes(
+    evaluated: Sequence[tuple[tuple[int, ...], float, float]],
+    dists: DistributionSet,
+    n: int,
+    rule: QuotaRule,
+    agenda: Agenda,
+    state_budget: int,
+) -> list[tuple[tuple[int, ...], float, float]]:
+    """The max and min entries of a float run's lexicographic ``evaluated``, decided exactly.
+
+    A floating-point filter with an exact fallback (Shewchuk 1997). Each
+    value P_hat puts its exact P in [(P_hat - A)/(1 + gamma_N),
+    (P_hat + A)/(1 - gamma_N)], (gamma_N, A) from :func:`_error_bound`,
+    widened by 2^-50 relative for the few roundings that compute it. Every
+    assignment at the exact max has an upper end that reaches the largest
+    lower end, and every one at the exact min a lower end at or below the
+    smallest upper end: those are each side's candidates. A lone candidate
+    keeps its float. Several are ranked by their exact values, each from one
+    rational :func:`exact_paradox_probability` charged to ``state_budget``
+    (a 0.0 needs none: :func:`_check_error_bound` returns only exact zeros),
+    then by the lexicographic rule, and the side reports the float of its
+    exact value.
+    """
+    values = np.array([entry[1] for entry in evaluated])
+    gamma, absolute = _error_bound(dists, n, agenda.p)
+    low = (values - absolute) / (1 + gamma) * (1 - 2.0**-50)
+    high = (values + absolute) / (1 - gamma) * (1 + 2.0**-50)
+    exact: dict[int, Fraction] = {}
+
+    def exact_value(i: int) -> Fraction:
+        if i not in exact:
+            exact[i] = Fraction(0) if values[i] == 0 else exact_paradox_probability(
+                evaluated[i][0], dists, rule, agenda, value_mode="rational",
+                state_budget=state_budget)
+        return exact[i]
+
+    sides = []
+    for pick, candidates in ((max, np.flatnonzero(high >= low.max())),
+                             (min, np.flatnonzero(low <= high.min()))):
+        if len(candidates) == 1:
+            sides.append(evaluated[candidates[0]])
+        else:  # pick returns the first extreme, and candidates run in order
+            i = pick(candidates.tolist(), key=exact_value)
+            sides.append((evaluated[i][0], float(exact_value(i)), 0.0))
+    return sides
+
+
 def smoothed_extremes(
     dists: DistributionSet,
     n: int,
@@ -539,8 +583,12 @@ def smoothed_extremes(
     """Max and min paradox probability over every distribution assignment.
 
     Ties between assignments are broken toward the lexicographically smallest
-    count vector, so witnesses are deterministic. In Monte Carlo mode all
-    assignments share each member's sampled agents (see :func:`monte_carlo_estimate`).
+    count vector, so witnesses are deterministic. In float mode the witnesses
+    are exact decisions too, the rational ones: where the error bounds of the
+    float values leave more than one candidate for a side, the candidates'
+    exact values decide it (see :func:`_decided_float_extremes`). In Monte
+    Carlo mode all assignments share each member's sampled agents (see
+    :func:`monte_carlo_estimate`).
     """
     _check_inputs(dists, rule, agenda)
     if n < 1:
@@ -562,10 +610,14 @@ def smoothed_extremes(
         estimates, stderrs = monte_carlo_estimate(counts_list, dists, rule, agenda, trials, seed)
         evaluated = list(zip(counts_list, estimates.tolist(), stderrs.tolist()))
 
-    # both engines list assignments lexicographically, and max/min return the
-    # first extreme they meet
-    max_counts, max_prob, max_se = max(evaluated, key=lambda entry: entry[1])
-    min_counts, min_prob, min_se = min(evaluated, key=lambda entry: entry[1])
+    if mode == "exact" and isinstance(evaluated[0][1], float):
+        top, bottom = _decided_float_extremes(evaluated, dists, n, rule, agenda, state_budget)
+    else:
+        # both engines list assignments lexicographically, and max/min return
+        # the first extreme they meet
+        top = max(evaluated, key=lambda entry: entry[1])
+        bottom = min(evaluated, key=lambda entry: entry[1])
+    (max_counts, max_prob, max_se), (min_counts, min_prob, min_se) = top, bottom
     return SmoothedExtremes(
         n=n,
         mode=mode,

@@ -2,12 +2,15 @@
 
 All numeric fields are exact rationals (``fractions.Fraction``); no floating
 point value ever enters a comparison made by these types. The integer form
-of a weight vector, :func:`integer_form`, is D, the least common denominator
-of its weights, and each weight times D. Each :class:`FractionalVote` stores
-it once, as ``lcd`` and ``numerators``, for its own [0, 1] and sum-to-1
-checks, the distinct-member check of a distribution set and the rational
-engine's weights; :func:`~paradox_lab.aggregation.threshold_gaps` computes
-every quota gap from it.
+of a vector of rationals, :func:`integer_form`, is D, the least common
+denominator of its entries, and each entry times D; it is the one place an
+LCD is taken. Each :class:`FractionalVote` stores its weights' form once, as
+``lcd`` and ``numerators``, for its own [0, 1] and sum-to-1 checks, the
+distinct-member check of a distribution set and the rational engine's
+weights and denominators. :func:`~paradox_lab.aggregation.threshold_gaps`
+computes every quota gap from it, the κ checks' sign-pattern rows are the
+form of each proposition's member gaps, and a histogram law's total is the
+form of its per-denominator partial sums.
 
 The canonical judgement order is the one :func:`judgements` lists, and truth
 tables, vote weights and histograms are indexed in it: the premise bits read as

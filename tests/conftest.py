@@ -101,6 +101,31 @@ def random_positive_members(rng: random.Random, m: int, count: int) -> Distribut
     return DistributionSet(tuple(rows))
 
 
+def negated(i: int, agenda: Agenda, rule: QuotaRule, dists: DistributionSet):
+    """(agenda, rule, dists) with proposition i negated, 0-based, p being the conclusion.
+
+    A premise flips bit i of every judgement, which permutes the truth table
+    and each member's weights; the conclusion flips the truth table. Either
+    way q_i becomes 1 - q_i and d_i becomes 1 - d_i, so a_i becomes
+    n + 1 - a_i and the verdict on i flips for every histogram, while the
+    inconsistent outcomes map onto themselves: every probability, κ flag and
+    classification is unchanged.
+    """
+    p, m = agenda.p, agenda.m
+    table, members = agenda.truth_table, dists.members
+    if i < p:
+        flip = 1 << (p - 1 - i)  # the first premise is the most significant bit
+        table = tuple(table[j ^ flip] for j in range(m))
+        members = tuple(FractionalVote(tuple(member.weights[j ^ flip] for j in range(m)))
+                        for member in members)
+    else:
+        table = tuple(1 - t for t in table)
+    thresholds, breakings = list(rule.thresholds), list(rule.breakings)
+    thresholds[i], breakings[i] = 1 - thresholds[i], 1 - breakings[i]
+    return (Agenda(p, table), QuotaRule(tuple(thresholds), tuple(breakings)),
+            DistributionSet(members))
+
+
 def brute_force_outcomes(n: int, rule: QuotaRule, agenda: Agenda) -> set:
     """Every outcome vector achieved by some profile of n votes."""
     seen = set()

@@ -11,6 +11,7 @@ from paradox_lab import (
     DimensionError,
     DistributionSet,
     FractionalVote,
+    HistogramDistribution,
     QuotaRule,
     Rate,
     ResourceBudgetError,
@@ -190,6 +191,26 @@ def test_histogram_distribution_is_a_law():
     assert law.agents == 3
     assert law.total() == 1
     assert all(sum(h) == 3 for h in law.probabilities)
+
+
+def test_total_is_the_fraction_sum():
+    past = 2**64 + 13  # a denominator past 2^63
+    laws = [
+        {},
+        {(1,): Fraction(3, 7)},
+        {(0, 2): Fraction(1, 6), (1, 1): Fraction(1, 4), (2, 0): Fraction(5, 12),
+         (0, 1): Fraction(1, 9), (1, 0): Fraction(2, 9), (0, 0): Fraction(1, 12)},
+        {(0,): Fraction(1, past), (1,): Fraction(5, 3 * past), (2,): Fraction(7, 2**70),
+         (3,): Fraction(1, 3), (4,): Fraction(2, past)},
+    ]
+    # (20, 0) of expsmall puts 25^20 > 2^63 into the denominator
+    law = histogram_distribution((20, 0), EXPSMALL)
+    assert max(prob.denominator for prob in law.probabilities.values()) > 2**63
+    for probabilities in laws + [law.probabilities]:
+        total = HistogramDistribution(probabilities, 1).total()
+        assert type(total) is Fraction
+        assert total == sum(probabilities.values(), Fraction(0))
+    assert law.total() == 1
 
 
 def _members_with_zeros(rng: random.Random, m: int, count: int) -> DistributionSet:
@@ -570,6 +591,40 @@ def test_error_bound_check_rejects_out_of_range():
     for bad, reaches in ((floor / 2, unreachable), (0.0, reachable)):
         with pytest.raises(FloatingPointError):
             _check_error_bound(np.array([0.5, bad]), bound, reaches)
+
+
+def _witness_population():
+    """80 float extremes: p from {1, 2, 2, 3}, 2 or 3 members, n 20..60 (10..25 at p = 3)."""
+    rng = random.Random(5)
+    for _ in range(80):
+        p = rng.choice([1, 2, 2, 3])
+        ell = rng.choice([2, 3])
+        agenda = Agenda(p, tuple(rng.randint(0, 1) for _ in range(1 << p)))
+        rule = random_rule(rng, p + 1)
+        dists = random_positive_members(rng, 1 << p, ell)
+        n = rng.randint(10, 25) if p == 3 else rng.randint(20, 60)
+        yield dists, n, rule, agenda
+
+
+WITNESS_CASES = list(_witness_population())
+# float64 alone names another witness in cases 0, 1 and 22: in case 0, 21
+# minima are exactly tied; in case 1 all 40 assignments are exactly 1, and
+# float reads 1.0000000000000009 at (34, 5); in case 22 the exact max is unique
+# at (31, 0), but float reads 1.0 from (19, 12) on. Cases 30 and 69 have 9 and
+# 20 candidates, of which float64 happens to name the exact witness.
+DECIDED_WITNESSES = {0: ((20, 0, 0), (0, 0, 20)), 1: ((0, 39), (0, 39)), 22: ((31, 0), (0, 31))}
+
+
+@pytest.mark.parametrize("case", [*range(12), 22, 30, 69])
+def test_float_witnesses_are_the_rational_ones(case):
+    dists, n, rule, agenda = WITNESS_CASES[case]
+    fast = smoothed_extremes(dists, n, rule, agenda, value_mode="float")
+    slow = smoothed_extremes(dists, n, rule, agenda, value_mode="rational")
+    assert (fast.max_witness, fast.min_witness) == (slow.max_witness, slow.min_witness)
+    if case in DECIDED_WITNESSES:
+        assert (fast.max_witness.counts, fast.min_witness.counts) == DECIDED_WITNESSES[case]
+    if case == 1:  # decided sides report the float of the exact value
+        assert fast.max_probability == fast.min_probability == 1.0
 
 
 def test_tiny_weight_runs_float64_and_matches_rational():
